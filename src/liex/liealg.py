@@ -102,7 +102,7 @@ class StructureTensor:
             entries = obj.get("brackets", [])
         except (TypeError, KeyError):
             raise InputFormatError("tensor JSON needs 'dim' and 'brackets'")
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InputFormatError("bad dimension %r" % (n,))
         br = {}
         for e in entries:

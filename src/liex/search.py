@@ -19,7 +19,8 @@ from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from . import linalg
-from .errors import InputFormatError, ParameterNotRationalError, RationalFormError
+from .errors import (InputFormatError, LiexError, ParameterNotRationalError,
+                     RationalFormError)
 from .expansion import (ResonanceSpec, extract_subalgebra, resonant_span,
                         s_expand, validate_resonance, zero_reduce)
 from .identify import identify3
@@ -78,20 +79,23 @@ class SearchResult:
                 "modes": list(self.modes), "found": self.found()}
 
 
+@lru_cache(maxsize=None)
 def semigroup_inventory(max_order):
     """One semigroup per isomorphism class up to max_order, with built-in
     relabelings substituted so witnesses come out in the familiar
-    coordinates."""
+    coordinates.  max_order is also the enumeration bound, so callers cap
+    the order themselves (the CLI through LIEX_MAX_ORDER)."""
     out = []
     for order in range(1, max_order + 1):
-        for s in enumerate_abelian_semigroups(order, up_to_isomorphism=True):
+        for s in enumerate_abelian_semigroups(order, up_to_isomorphism=True,
+                                              max_order=max_order):
             name = None
             for bname, b in (("S2", S2), ("S3", S3)):
                 if b.order == order and semigroups_isomorphic(s, b) is not None:
                     s, name = b, bname
                     break
             out.append((s, name))
-    return out
+    return tuple(out)
 
 
 # derived-algebra dimension per class, used to prefilter spans before the
@@ -111,7 +115,9 @@ def _identify_or_none(c):
 
 
 def clear_caches():
-    """Drop the scan and classification caches (honest cold timings)."""
+    """Drop the inventory, scan and classification caches (honest cold
+    timings)."""
+    semigroup_inventory.cache_clear()
     scan_3dim_subalgebras.cache_clear()
     _identify_or_none.cache_clear()
 
@@ -262,24 +268,30 @@ def _resonant_candidates(s, c):
 RESONANT_ORDER_BOUND = 3
 
 
-def find_connection(source, target_label, max_order=3,
-                    modes=("subalgebra",), pre_change=None):
-    """Witnesses taking `source` to the class `target_label`.
-
-    Scans every Abelian semigroup up to isomorphism within max_order.  An
-    empty result reports the exact number of candidates examined.
-    """
+def _check_modes(modes):
     for m in modes:
         if m not in ("subalgebra", "zero_reduce", "resonant"):
             raise InputFormatError("unknown search mode %r" % (m,))
-    tname, tparams = parse_label(target_label)
-    target = catalog(tname, **tparams)
-    if target.dim != 3:
+
+
+def _target_key(label):
+    """The (label, param) key identify3 gives the 3-dim class `label`."""
+    tname, tparams = parse_label(label)
+    if catalog(tname, **tparams).dim != 3:
         raise InputFormatError("search targets must be 3-dim classes")
-    want = (tname, tparams.get("a", tparams.get("b")))
-    ddt = DD_BY_LABEL[tname]
-    if pre_change is not None:
-        source = change_basis(source, pre_change)
+    return (tname, tparams.get("a", tparams.get("b")))
+
+
+def _search(source, max_order, modes, wants):
+    """One pass over the semigroup inventory for every class in `wants`, a
+    set of (label, param) keys.
+
+    Each (source, semigroup) pair is expanded at most once, and the
+    subalgebra and resonant modes share that expansion.  Returns the
+    witnesses in inventory order (semigroup, then mode, then span) and the
+    space counts, which do not depend on `wants`.
+    """
+    dds = {DD_BY_LABEL[name] for name, _ in wants}
     witnesses = []
     space = {"semigroups": 0}
     for m in modes:
@@ -289,18 +301,20 @@ def find_connection(source, target_label, max_order=3,
         records, examined = scan_3dim_subalgebras(ambient)
         space["%s_candidates" % mode] += examined
         for gens, dd, gt in records:
-            if dd != ddt:
+            if dd not in dds:
                 continue
             ident = _identify_or_none(gt)
-            if ident is None or (ident.label, ident.param) != want:
+            if ident is None or (ident.label, ident.param) not in wants:
                 continue
             witnesses.append(Witness(s, sname, mode, gens, None,
                                      ident.label, ident.param, ident.witness))
 
     for s, sname in semigroup_inventory(max_order):
         space["semigroups"] += 1
+        expanded = None
         if "subalgebra" in modes:
-            match_spans(s_expand(s, source), s, sname, "subalgebra")
+            expanded = s_expand(s, source)
+            match_spans(expanded, s, sname, "subalgebra")
         if "zero_reduce" in modes and zero_element(s) is not None:
             reduced = zero_reduce(s, source)
             if reduced.dim >= 3:
@@ -308,7 +322,8 @@ def find_connection(source, target_label, max_order=3,
         if "resonant" in modes and s.order <= RESONANT_ORDER_BOUND:
             specs, examined = _resonant_candidates(s, source)
             space["resonant_candidates"] += examined
-            expanded = s_expand(s, source)
+            if expanded is None:
+                expanded = s_expand(s, source)
             seen_spans = set()
             for spec, meta in specs:
                 span = resonant_span(s, source, spec)
@@ -322,11 +337,26 @@ def find_connection(source, target_label, max_order=3,
                     ident = identify3(sub)
                 except (ParameterNotRationalError, RationalFormError):
                     continue
-                if (ident.label, ident.param) == want:
+                if (ident.label, ident.param) in wants:
                     witnesses.append(Witness(s, sname, "resonant",
                                              tuple(span.basis), meta,
                                              ident.label, ident.param,
                                              ident.witness))
+    return witnesses, space
+
+
+def find_connection(source, target_label, max_order=3,
+                    modes=("subalgebra",), pre_change=None):
+    """Witnesses taking `source` to the class `target_label`.
+
+    Scans every Abelian semigroup up to isomorphism within max_order.  An
+    empty result reports the exact number of candidates examined.
+    """
+    _check_modes(modes)
+    want = _target_key(target_label)
+    if pre_change is not None:
+        source = change_basis(source, pre_change)
+    witnesses, space = _search(source, max_order, modes, {want})
     return SearchResult(tuple(witnesses), space, max_order, tuple(modes))
 
 
@@ -343,7 +373,7 @@ def replay(source, witness):
         return False
     try:
         sub = extract_subalgebra(ambient, [list(v) for v in witness.span])
-    except Exception:
+    except LiexError:
         return False
     params = {} if witness.param is None else (
         {"a" if witness.label == "A3.4" else "b": witness.param})
@@ -357,18 +387,25 @@ def replay(source, witness):
 def connectivity_matrix(labels, max_order=2, modes=("subalgebra",)):
     """Directed found/not-found report over ordered label pairs.
 
-    Each found edge carries its first witness.  Self-loops come out of the
-    order-1 semigroup (the expansion is the algebra itself).
+    One search pass per source answers every target.  Each found edge
+    carries its first witness.  Self-loops come out of the order-1
+    semigroup (the expansion is the algebra itself).
     """
     tensors = {lab: resolve_algebra(lab) for lab in labels}
+    _check_modes(modes)
+    keys = {lab: _target_key(lab) for lab in labels}
+    wants = set(keys.values())
     edges = {}
     for src in labels:
+        witnesses, space = _search(tensors[src], max_order, modes, wants)
+        first = {}
+        for w in witnesses:
+            first.setdefault((w.label, w.param), w)
         for dst in labels:
-            res = find_connection(tensors[src], dst, max_order=max_order,
-                                  modes=modes)
-            entry = {"found": res.found(), "space": res.space}
-            if res.found():
-                entry["witness"] = res.witnesses[0].to_json()
+            w = first.get(keys[dst])
+            entry = {"found": w is not None, "space": dict(space)}
+            if w is not None:
+                entry["witness"] = w.to_json()
             edges[(src, dst)] = entry
     return {"labels": list(labels), "max_order": max_order,
             "modes": list(modes), "edges": edges}

@@ -76,6 +76,8 @@ class SemigroupTable:
         except (TypeError, KeyError):
             raise InputFormatError("semigroup JSON needs a 'table' field")
         st = cls(table)
+        if "order" in obj and isinstance(obj["order"], bool):
+            raise InputFormatError("bad order %r" % (obj["order"],))
         if "order" in obj and obj["order"] != st.order:
             raise InputFormatError("declared order %r does not match table size %d"
                                    % (obj["order"], st.order))

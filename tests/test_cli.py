@@ -242,6 +242,30 @@ def test_max_order_cap(capsys, monkeypatch):
     assert code == 1
 
 
+def test_max_order_cap_reaches_the_enumerator(capsys, monkeypatch):
+    # order 5 is never enumerated: the stand-in records the bound it gets
+    # and returns no semigroups above order 3
+    from liex import search
+    real = search.enumerate_abelian_semigroups
+    bounds = []
+
+    def recording(order, up_to_isomorphism=True, max_order=4):
+        bounds.append(max_order)
+        return real(order, up_to_isomorphism, max_order) if order <= 3 else []
+
+    monkeypatch.setattr(search, "enumerate_abelian_semigroups", recording)
+    monkeypatch.setenv("LIEX_MAX_ORDER", "5")
+    search.clear_caches()
+    try:
+        code, out = run_json(capsys, ["search", "--from", "sl2R",
+                                      "--to", "A3.3", "--max-order", "5"])
+    finally:
+        search.clear_caches()   # drop the stand-in's inventory
+    assert code == 0, out
+    assert bounds == [5] * 5
+    assert out["found"] and out["space"]["semigroups"] == 1 + 3 + 12
+
+
 def test_enumerate_semigroups(capsys):
     code, out = run_json(capsys, ["enumerate-semigroups", "--order", "3"])
     assert code == 0

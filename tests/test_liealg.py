@@ -317,3 +317,10 @@ def test_tensor_json_round_trip():
             {"i": 2, "j": 1, "coeffs": {"1": "1"}}]})
     with pytest.raises(InputFormatError):
         StructureTensor.from_json({"brackets": []})
+
+
+def test_tensor_json_rejects_bool_dim():
+    # bool is an int subclass, so true would otherwise read as dim 1
+    for flag in (True, False):
+        with pytest.raises(InputFormatError):
+            StructureTensor.from_json({"dim": flag, "brackets": []})

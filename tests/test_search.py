@@ -10,8 +10,9 @@ import dataclasses
 
 import pytest
 
+from liex import search
 from liex.errors import InputFormatError
-from liex.liealg import catalog, change_basis
+from liex.liealg import catalog, change_basis, resolve_algebra
 from liex.search import (
     DD_BY_LABEL,
     SearchResult,
@@ -25,6 +26,9 @@ from liex.search import (
     semigroup_inventory,
 )
 from support import unit_rows
+
+
+ALL_MODES = ("subalgebra", "zero_reduce", "resonant")
 
 
 def spans_of(res):
@@ -138,6 +142,17 @@ def test_replay_rejects_tampered_witnesses():
     assert not replay(catalog("so3"), w)
 
 
+def test_replay_surfaces_internal_errors(monkeypatch):
+    w = find_connection(catalog("sl2R"), "A2.1+A1", max_order=2).witnesses[0]
+
+    def broken(ambient, span):
+        raise AssertionError("internal invariant broken")
+
+    monkeypatch.setattr(search, "extract_subalgebra", broken)
+    with pytest.raises(AssertionError):
+        replay(catalog("sl2R"), w)
+
+
 def test_witness_json_shape():
     res = find_connection(catalog("sl2R"), "A2.1+A1", max_order=2)
     blob = res.to_json()
@@ -187,6 +202,49 @@ def test_connectivity_matrix():
     rep2 = connectivity_matrix(["sl2R", "A3.2"], max_order=2)
     assert not rep2["edges"][("sl2R", "A3.2")]["found"]
     assert not rep2["edges"][("A3.2", "sl2R")]["found"]
+
+
+def test_connectivity_matches_per_edge_search():
+    labels = ["sl2R", "A3.3", "so3", "A2.1+A1"]
+    rep = connectivity_matrix(labels, max_order=2, modes=ALL_MODES)
+    found = 0
+    for src in labels:
+        for dst in labels:
+            res = find_connection(resolve_algebra(src), dst, max_order=2,
+                                  modes=ALL_MODES)
+            entry = rep["edges"][(src, dst)]
+            assert entry["found"] == res.found(), (src, dst)
+            assert entry["space"] == res.space, (src, dst)
+            if res.found():
+                found += 1
+                assert entry["witness"] == res.witnesses[0].to_json(), (src, dst)
+            else:
+                assert "witness" not in entry, (src, dst)
+    assert 4 < found < 16
+    # every edge owns its space dict
+    assert len({id(e["space"]) for e in rep["edges"].values()}) == 16
+
+
+def test_one_expansion_per_source_and_semigroup(monkeypatch):
+    n3 = len(semigroup_inventory(3))
+    calls = []
+    real = search.s_expand
+
+    def counting(s, c):
+        calls.append((s, c))
+        return real(s, c)
+
+    monkeypatch.setattr(search, "s_expand", counting)
+    connectivity_matrix(["sl2R", "A3.3", "so3"], max_order=3,
+                        modes=("subalgebra", "zero_reduce"))
+    assert len(calls) == 3 * n3
+    calls.clear()
+    find_connection(catalog("sl2R"), "A3.3", max_order=3)
+    assert len(calls) == n3
+    # the subalgebra and resonant modes share one expansion
+    calls.clear()
+    find_connection(catalog("sl2R"), "A3.3", max_order=2, modes=ALL_MODES)
+    assert len(calls) == len(semigroup_inventory(2))
 
 
 def test_connectivity_report_formats():

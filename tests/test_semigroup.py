@@ -166,6 +166,13 @@ def test_json_round_trip():
         SemigroupTable.from_json({})
 
 
+def test_json_rejects_bool_order():
+    # true == 1, so a bool order would otherwise match a 1x1 table
+    with pytest.raises(InputFormatError):
+        SemigroupTable.from_json({"order": True, "table": [[1]]})
+    assert SemigroupTable.from_json({"order": 1, "table": [[1]]}) == TRIVIAL
+
+
 def test_resolve_semigroup():
     assert resolve_semigroup("S2") is S2
     assert resolve_semigroup("S3") is S3
