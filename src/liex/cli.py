@@ -110,6 +110,14 @@ def _max_order_cap():
     return cap
 
 
+def _check_max_order(max_order):
+    cap = _max_order_cap()
+    if max_order > cap:
+        raise InputFormatError("max order %d exceeds the bound %d "
+                               "(set LIEX_MAX_ORDER to raise it)"
+                               % (max_order, cap))
+
+
 def cmd_validate(args):
     if not args.algebra and not args.semigroup:
         raise InputFormatError("give --algebra and/or --semigroup to validate")
@@ -218,11 +226,7 @@ def _parse_modes(raw):
 
 
 def cmd_search(args):
-    cap = _max_order_cap()
-    if args.max_order > cap:
-        raise InputFormatError("max order %d exceeds the bound %d "
-                               "(set LIEX_MAX_ORDER to raise it)"
-                               % (args.max_order, cap))
+    _check_max_order(args.max_order)
     src = load_algebra(args.algebra)
     pc = _load_matrix(args.pre_change) if args.pre_change else None
     res = find_connection(src, args.target, max_order=args.max_order,
@@ -232,11 +236,7 @@ def cmd_search(args):
 
 
 def cmd_graph(args):
-    cap = _max_order_cap()
-    if args.max_order > cap:
-        raise InputFormatError("max order %d exceeds the bound %d "
-                               "(set LIEX_MAX_ORDER to raise it)"
-                               % (args.max_order, cap))
+    _check_max_order(args.max_order)
     if args.labels == "all3":
         labels = list(ALL3_LABELS)
     else:

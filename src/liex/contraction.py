@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InputFormatError
-from .liealg import StructureTensor, parse_label, resolve_algebra, validate_lie
+from .liealg import (StructureTensor, check_json_dim, parse_label,
+                     resolve_algebra, transform_brackets, validate_lie)
 
 
 class LaurentPoly:
@@ -101,7 +102,7 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls({int(e): Fraction(q) for e, q in obj.items()})
+            return cls({int(e): linalg.frac(q) for e, q in obj.items()})
         except (TypeError, ValueError, AttributeError, ZeroDivisionError):
             raise InputFormatError("bad Laurent polynomial %r" % (obj,))
 
@@ -238,6 +239,9 @@ class LaurentBasisFamily:
             raw = obj["entries"]
         except (TypeError, KeyError):
             raise InputFormatError("family JSON needs 'dim' and 'entries'")
+        check_json_dim(n)
+        if not isinstance(raw, dict):
+            raise InputFormatError("'entries' must be an object")
         m = [[LaurentPoly() for _ in range(n)] for _ in range(n)]
         for key, val in raw.items():
             try:
@@ -307,37 +311,13 @@ def transform_parametric(c, fam):
     det = family_determinant(fam)
     if not det:
         raise InputFormatError("family determinant is identically zero")
-    adj = family_adjugate(fam)
-    B = fam.entries
-    t = c.c
+    rows = linalg.transpose(fam.entries)
+    back = linalg.transpose(family_adjugate(fam))
     zero = LaurentFrac(LaurentPoly())
     out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # [new_i, new_j] in old coordinates, as Laurent polynomials
-            v = [LaurentPoly() for _ in range(n)]
-            for p in range(n):
-                Bpi = B[p][i]
-                if not Bpi:
-                    continue
-                for q in range(n):
-                    Bqj = B[q][j]
-                    if not Bqj:
-                        continue
-                    row = t[p][q]
-                    f = Bpi * Bqj
-                    for r in range(n):
-                        if row[r]:
-                            v[r] = v[r] + f * row[r]
-            for k in range(n):
-                num = LaurentPoly()
-                for r in range(n):
-                    if v[r]:
-                        num = num + adj[k][r] * v[r]
-                if num:
-                    e = LaurentFrac(num, det)
-                    out[i][j][k] = e
-                    out[j][i][k] = LaurentFrac(-num, det)
+    for i, j, w in transform_brackets(c, rows, back, LaurentPoly()):
+        out[i][j] = [LaurentFrac(x, det) if x else zero for x in w]
+        out[j][i] = [LaurentFrac(-x, det) if x else zero for x in w]
     return LaurentTensor(n, out)
 
 

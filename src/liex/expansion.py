@@ -10,9 +10,9 @@ import re
 from fractions import Fraction
 
 from . import linalg
-from .errors import (InputFormatError, NotALieAlgebraError, NotASemigroupError,
-                     NotASubalgebraError, NotReducibleError, NotResonantError)
-from .liealg import StructureTensor, Subspace, bracket, full_space, require_lie, validate_lie
+from .errors import (InputFormatError, NotASemigroupError, NotASubalgebraError,
+                     NotReducibleError, NotResonantError)
+from .liealg import StructureTensor, Subspace, bracket, require_lie, validate_lie
 from .semigroup import require_zero, validate_semigroup
 
 
@@ -36,30 +36,39 @@ def require_semigroup(s):
     return s
 
 
+def _expand(s, c, elems):
+    """S x g on the basis lambda_a e_i, a in elems, in flat order; brackets
+    whose semigroup product leaves elems are cut."""
+    n = c.dim
+    inside = set(elems)
+    basis = [(i, a) for i in range(n) for a in elems]
+    pos = {ia: t for t, ia in enumerate(basis)}
+    nd = len(basis)
+    out = [[[Fraction(0)] * nd for _ in range(nd)] for _ in range(nd)]
+    for i in range(n):
+        for j in range(n):
+            row = [(k, v) for k, v in enumerate(c.c[i][j]) if v]
+            if not row:
+                continue
+            for a in elems:
+                fi = out[pos[(i, a)]]
+                for b in elems:
+                    g = s.product(a, b)
+                    if g not in inside:
+                        continue
+                    fij = fi[pos[(j, b)]]
+                    for k, v in row:
+                        fij[pos[(k, g)]] = v
+    t = StructureTensor(out)
+    assert validate_lie(t)["ok"]
+    return t
+
+
 def s_expand(s, c):
     """Expanded algebra: [E_(i,a), E_(j,b)] = C_ij^k E_(k, a*b)."""
     require_semigroup(s)
     require_lie(c)
-    n, N = c.dim, s.order
-    nd = n * N
-    out = [[[Fraction(0)] * nd for _ in range(nd)] for _ in range(nd)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            row = c.c[i - 1][j - 1]
-            if not any(row):
-                continue
-            for a in range(1, N + 1):
-                for b in range(1, N + 1):
-                    g = s.product(a, b)
-                    fi = flat_index(i, a, N) - 1
-                    fj = flat_index(j, b, N) - 1
-                    for k in range(1, n + 1):
-                        v = row[k - 1]
-                        if v:
-                            out[fi][fj][flat_index(k, g, N) - 1] = v
-    t = StructureTensor(out)
-    assert validate_lie(t)["ok"]
-    return t
+    return _expand(s, c, range(1, s.order + 1))
 
 
 def zero_reduce(s, c):
@@ -71,24 +80,7 @@ def zero_reduce(s, c):
     require_lie(c)
     require_semigroup(s)
     z = require_zero(s)
-    n, N = c.dim, s.order
-    keep = [(i, a) for i in range(1, n + 1) for a in range(1, N + 1) if a != z]
-    pos = {ia: t for t, ia in enumerate(keep)}
-    nd = len(keep)
-    out = [[[Fraction(0)] * nd for _ in range(nd)] for _ in range(nd)]
-    for (i, a) in keep:
-        for (j, b) in keep:
-            g = s.product(a, b)
-            if g == z:
-                continue
-            row = c.c[i - 1][j - 1]
-            for k in range(1, n + 1):
-                v = row[k - 1]
-                if v:
-                    out[pos[(i, a)]][pos[(j, b)]][pos[(k, g)]] = v
-    t = StructureTensor(out)
-    assert validate_lie(t)["ok"]
-    return t
+    return _expand(s, c, [a for a in range(1, s.order + 1) if a != z])
 
 
 def extract_subalgebra(c, span):
@@ -277,19 +269,22 @@ def validate_resonance(s, c, rspec):
     return report
 
 
+def _lifts(rspec, sets_of, n, order):
+    """lambda_a v in S x g for each part p, a in sets_of(p) and v in V_p."""
+    for p in rspec.keys:
+        for a in sorted(sets_of(p)):
+            for v in rspec.parts[p].basis:
+                w = [Fraction(0)] * (n * order)
+                for i in range(1, n + 1):
+                    if v[i - 1]:
+                        w[flat_index(i, a, order) - 1] = v[i - 1]
+                yield w
+
+
 def resonant_span(s, c, rspec):
     """Span of {lambda_a v : a in S_p, v in V_p} inside the expanded algebra."""
     n, N = c.dim, s.order
-    gens = []
-    for p in rspec.keys:
-        for a in sorted(rspec.sets[p]):
-            for v in rspec.parts[p].basis:
-                w = [Fraction(0)] * (n * N)
-                for i in range(1, n + 1):
-                    if v[i - 1]:
-                        w[flat_index(i, a, N) - 1] = v[i - 1]
-                gens.append(w)
-    return Subspace(n * N, gens)
+    return Subspace(n * N, _lifts(rspec, lambda p: rspec.sets[p], n, N))
 
 
 def resonant_subalgebra(s, c, rspec):
@@ -325,16 +320,8 @@ def resonant_reduction(s, c, rspec):
     sub = extract_subalgebra(s_expand(s, c), sub_span)
 
     def inner_coords(sets_of):
-        gens = []
-        for p in rspec.keys:
-            for a in sorted(sets_of(p)):
-                for v in rspec.parts[p].basis:
-                    w = [Fraction(0)] * (n * N)
-                    for i in range(1, n + 1):
-                        if v[i - 1]:
-                            w[flat_index(i, a, N) - 1] = v[i - 1]
-                    gens.append(sub_span.coordinates_of(w))
-        return gens
+        return [sub_span.coordinates_of(w)
+                for w in _lifts(rspec, sets_of, n, N)]
 
     checked = Subspace(sub.dim, inner_coords(lambda p: rspec.partitions[p][0]))
     hatted = Subspace(sub.dim, inner_coords(lambda p: rspec.partitions[p][1]))

@@ -21,6 +21,11 @@ from . import linalg
 from .errors import InputFormatError, NotALieAlgebraError, NotASubalgebraError
 
 
+# largest "dim" a tensor or basis family read from JSON may declare: the
+# dense storage is allocated before a single entry is read
+MAX_JSON_DIM = 64
+
+
 class StructureTensor:
     __slots__ = ("dim", "c")
 
@@ -102,19 +107,32 @@ class StructureTensor:
             entries = obj.get("brackets", [])
         except (TypeError, KeyError):
             raise InputFormatError("tensor JSON needs 'dim' and 'brackets'")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InputFormatError("bad dimension %r" % (n,))
+        check_json_dim(n)
+        if not isinstance(entries, list):
+            raise InputFormatError("'brackets' must be a list")
         br = {}
         for e in entries:
             try:
                 i, j = e["i"], e["j"]
-                coeffs = {int(k): Fraction(v) for k, v in e["coeffs"].items()}
-            except (TypeError, KeyError, ValueError, ZeroDivisionError):
+                coeffs = {int(k): linalg.frac(v) for k, v in e["coeffs"].items()}
+            except (TypeError, KeyError, ValueError, ZeroDivisionError,
+                    AttributeError):
                 raise InputFormatError("bad bracket entry %r" % (e,))
+            if not all(isinstance(x, int) and not isinstance(x, bool)
+                       for x in (i, j)):
+                raise InputFormatError("bracket indices must be integers, got (%r,%r)"
+                                       % (i, j))
             if not i < j:
                 raise InputFormatError("bracket entries must have i < j, got (%r,%r)" % (i, j))
             br[(i, j)] = coeffs
         return cls.from_brackets(n, br)
+
+
+def check_json_dim(n):
+    """Refuse a JSON "dim" that is not an integer in 1..MAX_JSON_DIM."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_JSON_DIM:
+        raise InputFormatError("bad dimension %r (need an integer in 1..%d)"
+                               % (n, MAX_JSON_DIM))
 
 
 def bracket(c, x, y):
@@ -173,9 +191,6 @@ class Subspace:
 
     def contains(self, v):
         return self.coordinates_of(v) is not None
-
-    def contains_space(self, other):
-        return all(self.contains(v) for v in other.basis)
 
     def coordinates_of(self, v):
         """Coefficients of v in the stored basis, or None if outside.
@@ -270,33 +285,47 @@ def as_basis_change(u, n):
     return m, inv
 
 
+def transform_brackets(c, rows, back, zero):
+    """Yield (i, j, w) for i < j: w holds the coordinates of [new_i, new_j]
+    in the new frame, where new_i = sum_p rows[i][p] old_p and the old
+    coordinate r maps to sum_k back[r][k] new_k.
+
+    The entries of rows and back may come from any commutative ring whose
+    zero is `zero` (Fraction, or LaurentPoly in contraction.py).
+    """
+    n = c.dim
+    t = c.c
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            rj = rows[j]
+            # [new_i, new_j] in old coordinates
+            v = [zero] * n
+            for p in range(n):
+                x = ri[p]
+                if not x:
+                    continue
+                for q in range(n):
+                    y = rj[q]
+                    if not y:
+                        continue
+                    row = t[p][q]
+                    f = x * y
+                    for r in range(n):
+                        if row[r]:
+                            v[r] += f * row[r]
+            yield i, j, [sum((v[r] * back[r][k] for r in range(n) if v[r]), zero)
+                         for k in range(n)]
+
+
 def change_basis(c, u):
     """Rewrite the bracket in the basis new_i = sum_p u[i][p] old_p."""
     n = c.dim
     m, inv = as_basis_change(u, n)
-    t = c.c
     out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            # [new_i, new_j] in old coordinates
-            v = [Fraction(0)] * n
-            for p in range(n):
-                uip = m[i][p]
-                if not uip:
-                    continue
-                for q in range(n):
-                    ujq = m[j][q]
-                    if not ujq:
-                        continue
-                    row = t[p][q]
-                    f = uip * ujq
-                    for r in range(n):
-                        if row[r]:
-                            v[r] += f * row[r]
-            for k in range(n):
-                s = sum(v[r] * inv[r][k] for r in range(n) if v[r])
-                out[i][j][k] = s
-                out[j][i][k] = -s
+    for i, j, w in transform_brackets(c, m, inv, Fraction(0)):
+        out[i][j] = w
+        out[j][i] = [-x for x in w]
     return StructureTensor(out)
 
 

@@ -90,7 +90,29 @@ def rref(rows):
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    """Rank by fraction-free elimination; entries may be ints or Fractions.
+
+    Each row is reduced against the independent rows kept so far by
+    cross-multiplication.  As in Bareiss's algorithm (Math. Comp. 22, 1968)
+    a reduction also divides by the pivot of the row kept before, which
+    stops the entries from doubling in length at every step.
+    """
+    basis = []
+    for row in rows:
+        prev = 1
+        for b, p in basis:
+            f, c = b[p], row[p]
+            if c:
+                row = [f * ri - c * bi for ri, bi in zip(row, b)]
+                if prev != 1:
+                    inv = 1 / Fraction(prev)
+                    row = [ri * inv for ri in row]
+            prev = f
+        for p, x in enumerate(row):
+            if x:
+                basis.append((row, p))
+                break
+    return len(basis)
 
 
 def nullspace(rows, ncols=None):
@@ -193,17 +215,6 @@ def in_row_space(rows_rref, pivots, v):
             f = w[pc]
             w = [a - f * b for a, b in zip(w, rows_rref[r])]
     return all(x == 0 for x in w)
-
-
-def coordinates_in(rows, v):
-    """Write v as a combination of the given rows, or None.
-
-    Returns the coefficient list c with sum c[i]*rows[i] == v.
-    """
-    if not rows:
-        return [] if all(Fraction(x) == 0 for x in v) else None
-    at = transpose(rows)
-    return solve(at, v)
 
 
 def symmetric_signature(s):

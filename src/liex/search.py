@@ -130,19 +130,6 @@ def _supp(vec):
     return m
 
 
-def _rank3(rows):
-    basis = []
-    for row in rows:
-        for b in basis:
-            p = next(i for i, x in enumerate(b) if x)
-            if row[p]:
-                f, c = b[p], row[p]
-                row = [f * ri - c * bi for ri, bi in zip(row, b)]
-        if any(row):
-            basis.append(row)
-    return len(basis)
-
-
 @lru_cache(maxsize=256)
 def scan_3dim_subalgebras(ambient):
     """All 3-dim bracket-closed spans of triples of ambient basis vectors.
@@ -180,7 +167,7 @@ def scan_3dim_subalgebras(ambient):
             for k in range(3):
                 c3[i][j][k] = co[k]
                 c3[j][i][k] = -co[k]
-        records.append((gens, _rank3(rows), StructureTensor(c3)))
+        records.append((gens, linalg.rank(rows), StructureTensor(c3)))
     return tuple(records), examined
 
 
@@ -297,17 +284,18 @@ def _search(source, max_order, modes, wants):
     for m in modes:
         space["%s_candidates" % m] = 0
 
+    def record(sub, s, sname, mode, span, meta):
+        ident = _identify_or_none(sub)
+        if ident is not None and (ident.label, ident.param) in wants:
+            witnesses.append(Witness(s, sname, mode, span, meta,
+                                     ident.label, ident.param, ident.witness))
+
     def match_spans(ambient, s, sname, mode):
         records, examined = scan_3dim_subalgebras(ambient)
         space["%s_candidates" % mode] += examined
         for gens, dd, gt in records:
-            if dd not in dds:
-                continue
-            ident = _identify_or_none(gt)
-            if ident is None or (ident.label, ident.param) not in wants:
-                continue
-            witnesses.append(Witness(s, sname, mode, gens, None,
-                                     ident.label, ident.param, ident.witness))
+            if dd in dds:
+                record(gt, s, sname, mode, gens, None)
 
     for s, sname in semigroup_inventory(max_order):
         space["semigroups"] += 1
@@ -332,16 +320,8 @@ def _search(source, max_order, modes, wants):
                 seen_spans.add(span.basis)
                 if not validate_resonance(s, source, spec)["ok"]:
                     continue
-                sub = extract_subalgebra(expanded, span)
-                try:
-                    ident = identify3(sub)
-                except (ParameterNotRationalError, RationalFormError):
-                    continue
-                if (ident.label, ident.param) in wants:
-                    witnesses.append(Witness(s, sname, "resonant",
-                                             tuple(span.basis), meta,
-                                             ident.label, ident.param,
-                                             ident.witness))
+                record(extract_subalgebra(expanded, span), s, sname,
+                       "resonant", span.basis, meta)
     return witnesses, space
 
 
@@ -360,28 +340,72 @@ def find_connection(source, target_label, max_order=3,
     return SearchResult(tuple(witnesses), space, max_order, tuple(modes))
 
 
-def replay(source, witness):
-    """Re-run a witness pipeline from scratch; True iff it checks out."""
-    s = witness.semigroup
-    if witness.mode == "subalgebra":
-        ambient = s_expand(s, source)
-    elif witness.mode == "zero_reduce":
-        ambient = zero_reduce(s, source)
-    elif witness.mode == "resonant":
-        ambient = s_expand(s, source)
-    else:
-        return False
+def _indices(xs, hi):
+    """xs if it is a list of ints in 1..hi, else InputFormatError."""
+    if not isinstance(xs, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= hi
+            for x in xs):
+        raise InputFormatError("resonance data %r is not a list of indices "
+                               "in 1..%d" % (xs, hi))
+    return xs
+
+
+def _resonance_spec(s, n, meta):
+    """The ResonanceSpec a resonant witness names, from the 1-based blocks,
+    sets and "p,q" targets that _resonant_candidates writes."""
     try:
-        sub = extract_subalgebra(ambient, [list(v) for v in witness.span])
-    except LiexError:
+        blocks, sets = meta["blocks"], meta["sets"]
+        targets = {}
+        for key, val in meta["targets"].items():
+            p, q = (int(x) for x in key.split(","))
+            targets[(p, q)] = val
+    except (TypeError, KeyError, ValueError, AttributeError):
+        raise InputFormatError("malformed resonance data %r" % (meta,))
+    if not isinstance(blocks, list) or not isinstance(sets, list) \
+            or len(blocks) != len(sets):
+        raise InputFormatError("resonance data needs one set per block")
+    k = len(blocks)
+    parts = {p: Subspace(n, [linalg.e_k(n, i - 1) for i in _indices(bl, n)])
+             for p, bl in enumerate(blocks)}
+    pairs = {}
+    for (p, q), val in targets.items():
+        _indices([p, q], k)
+        pairs[(p - 1, q - 1)] = [r - 1 for r in _indices(val, k)]
+    return ResonanceSpec(
+        parts, {p: _indices(st, s.order) for p, st in enumerate(sets)}, pairs)
+
+
+def replay(source, witness):
+    """Re-run a witness pipeline from scratch; True iff it checks out.
+
+    A resonant witness must also name a decomposition that passes every
+    resonance condition and whose resonant span is the witness's span.
+    """
+    s = witness.semigroup
+    if witness.span is None:
         return False
     params = {} if witness.param is None else (
         {"a" if witness.label == "A3.4" else "b": witness.param})
     try:
+        if witness.mode in ("subalgebra", "resonant"):
+            ambient = s_expand(s, source)
+        elif witness.mode == "zero_reduce":
+            ambient = zero_reduce(s, source)
+        else:
+            return False
+        if witness.mode == "resonant":
+            if witness.resonance is None:
+                return False
+            spec = _resonance_spec(s, source.dim, witness.resonance)
+            if not validate_resonance(s, source, spec)["ok"]:
+                return False
+            if resonant_span(s, source, spec).basis != tuple(map(tuple, witness.span)):
+                return False
+        sub = extract_subalgebra(ambient, [list(v) for v in witness.span])
         expected = catalog(witness.label, **params)
-    except InputFormatError:
+        return change_basis(sub, [list(r) for r in witness.basis_change]) == expected
+    except LiexError:
         return False
-    return change_basis(sub, [list(r) for r in witness.basis_change]) == expected
 
 
 def connectivity_matrix(labels, max_order=2, modes=("subalgebra",)):

@@ -195,6 +195,23 @@ def test_contract_divergent(capsys, tmp_path):
     assert out["error"]["witness"] == {"i": 1, "j": 3, "k": 2, "valuation": -1}
 
 
+def test_malformed_json_files_get_the_input_format_envelope(capsys, tmp_path):
+    path = tmp_path / "tensor.json"
+    entry = {"i": 1, "j": 2, "coeffs": {"3": "1"}}
+    for blob in ({"dim": 3, "brackets": [{**entry, "i": "1", "j": "2"}]},
+                 {"dim": 3, "brackets": [{**entry, "i": 1.0}]},
+                 {"dim": 3, "brackets": [{**entry, "coeffs": {"3": 0.1}}]},
+                 {"dim": 10 ** 6, "brackets": []}):
+        path.write_text(json.dumps(blob))
+        code, out = run_json(capsys, ["validate", "--algebra", str(path)])
+        assert code == 1 and out["error"]["code"] == "input_format", blob
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"dim": "2", "entries": {}}))
+    code, out = run_json(capsys, ["contract", "--algebra", "sl2R",
+                                  "--family", str(fam)])
+    assert code == 1 and out["error"]["code"] == "input_format"
+
+
 def test_contract_plain_limit(capsys, tmp_path):
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps(U_FE.to_json()))
@@ -234,6 +251,12 @@ def test_max_order_cap(capsys, monkeypatch):
                                   "--to", "A2.1+A1", "--max-order", "3"])
     assert code == 1
     assert out["error"]["code"] == "input_format"
+    assert "exceeds the bound 2" in out["error"]["message"]
+    code, out = run_json(capsys, ["graph", "--labels", "sl2R,so3",
+                                  "--max-order", "3"])
+    assert code == 1
+    assert out["error"]["code"] == "input_format"
+    assert "exceeds the bound 2" in out["error"]["message"]
     code, out = run_json(capsys, ["enumerate-semigroups", "--order", "3"])
     assert code == 1
     monkeypatch.setenv("LIEX_MAX_ORDER", "zzz")

@@ -19,7 +19,8 @@ from liex.contraction import (
     verify_contraction,
 )
 from liex.errors import InputFormatError
-from liex.liealg import catalog, change_basis, is_unimodular, validate_lie
+from liex.liealg import (MAX_JSON_DIM, catalog, change_basis, is_unimodular,
+                         validate_lie)
 from liex.identify import identify3
 from support import rand_invertible
 
@@ -45,6 +46,10 @@ def test_laurent_poly_json():
     assert p.to_json() == {"-2": "1/3", "4": "-7"}
     with pytest.raises(InputFormatError):
         LaurentPoly.from_json({"x": "1"})
+    # JSON floats are binary fractions, so they are refused
+    with pytest.raises(InputFormatError):
+        LaurentPoly.from_json({"0": 0.1})
+    assert LaurentPoly.from_json({"0": "1/10"}) == LaurentPoly.const(F(1, 10))
 
 
 def test_laurent_frac_normalization():
@@ -155,6 +160,13 @@ def test_family_json_round_trip():
         LaurentBasisFamily.from_json({"dim": 2, "entries": {"3,1": {"0": "1"}}})
     with pytest.raises(InputFormatError):
         LaurentBasisFamily.from_json({"entries": {}})
+    for dim in ("2", 2.0, True, 0, MAX_JSON_DIM + 1):
+        with pytest.raises(InputFormatError):
+            LaurentBasisFamily.from_json({"dim": dim, "entries": {}})
+    with pytest.raises(InputFormatError):
+        LaurentBasisFamily.from_json({"dim": 2, "entries": [["1,1", {"0": "1"}]]})
+    with pytest.raises(InputFormatError):
+        LaurentBasisFamily.from_json({"dim": 2, "entries": {"1,1": {"0": 0.5}}})
 
 
 def test_family_determinant():

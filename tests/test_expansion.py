@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from liex.cli import ALL3_LABELS
 from liex.errors import (
     InputFormatError,
     NotASemigroupError,
@@ -36,6 +37,7 @@ from liex.liealg import (
     catalog,
     full_space,
     is_unimodular,
+    resolve_algebra,
     validate_lie,
 )
 from liex.semigroup import S2, S3, TRIVIAL, SemigroupTable, enumerate_abelian_semigroups, zero_element
@@ -126,11 +128,23 @@ def test_reduce_with_zero_hatted_part_is_identity():
 
 
 def test_reduce_matches_zero_reduce():
-    ex = s_expand(S3, catalog("sl2R"))
-    keep = [f - 1 for f in range(1, 10) if split_index(f, 3)[1] != 1]
-    cut = [f - 1 for f in range(1, 10) if split_index(f, 3)[1] == 1]
-    red = reduce_decomposition(ex, unit_rows(9, keep), unit_rows(9, cut))
-    assert red == zero_reduce(S3, catalog("sl2R"))
+    # every class of semigroups with a zero up to order 3, as enumerated
+    # (zero at index 1) and reversed (zero at the last index), times every
+    # class of all3
+    classes = [s for order in (1, 2, 3) for s in enumerate_abelian_semigroups(order)
+               if zero_element(s) is not None]
+    assert len(classes) == 1 + 2 + 8
+    with_zero = classes + [s.relabel(range(s.order, 0, -1))
+                           for s in classes if s.order > 1]
+    for label in ALL3_LABELS:
+        c = resolve_algebra(label)
+        for s in with_zero:
+            z, d = zero_element(s), c.dim * s.order
+            keep = [f - 1 for f in range(1, d + 1) if split_index(f, s.order)[1] != z]
+            cut = [f - 1 for f in range(1, d + 1) if split_index(f, s.order)[1] == z]
+            red = reduce_decomposition(s_expand(s, c), unit_rows(d, keep),
+                                       unit_rows(d, cut))
+            assert red == zero_reduce(s, c), (label, s)
 
 
 def test_reduce_two_dim_quotient():

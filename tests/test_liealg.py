@@ -9,6 +9,7 @@ from liex import linalg
 from liex.errors import InputFormatError, NotALieAlgebraError, NotASubalgebraError
 from liex.liealg import (
     CATALOG_NAMES,
+    MAX_JSON_DIM,
     StructureTensor,
     Subspace,
     ad_matrix,
@@ -16,6 +17,7 @@ from liex.liealg import (
     catalog,
     center,
     change_basis,
+    check_json_dim,
     compose_changes,
     derivation_algebra,
     derived_subalgebra,
@@ -317,6 +319,16 @@ def test_tensor_json_round_trip():
             {"i": 2, "j": 1, "coeffs": {"1": "1"}}]})
     with pytest.raises(InputFormatError):
         StructureTensor.from_json({"brackets": []})
+    good = {"i": 1, "j": 2, "coeffs": {"3": "1/10"}}
+    assert (StructureTensor.from_json({"dim": 3, "brackets": [good]})
+            == StructureTensor.from_brackets(3, {(1, 2): {3: F(1, 10)}}))
+    for bad in ({**good, "i": "1", "j": "2"}, {**good, "i": 1.0},
+                {**good, "j": True}, {**good, "coeffs": {"3": 0.1}},
+                {**good, "coeffs": [["3", "1"]]}):
+        with pytest.raises(InputFormatError):
+            StructureTensor.from_json({"dim": 3, "brackets": [bad]})
+    with pytest.raises(InputFormatError):
+        StructureTensor.from_json({"dim": 3, "brackets": {"i": 1}})
 
 
 def test_tensor_json_rejects_bool_dim():
@@ -324,3 +336,10 @@ def test_tensor_json_rejects_bool_dim():
     for flag in (True, False):
         with pytest.raises(InputFormatError):
             StructureTensor.from_json({"dim": flag, "brackets": []})
+
+
+def test_tensor_json_caps_the_dimension():
+    check_json_dim(MAX_JSON_DIM)
+    for dim in ("2", 2.0, 0, MAX_JSON_DIM + 1, 10 ** 9):
+        with pytest.raises(InputFormatError):
+            StructureTensor.from_json({"dim": dim, "brackets": []})

@@ -24,6 +24,32 @@ def test_rank_examples():
     assert linalg.rank([[F(0), F(0)]]) == 0
 
 
+def test_rank_matches_rref_pivots():
+    # non-square matrices with repeated and zero rows, int and Fraction entries
+    rng = random.Random(13)
+    for _ in range(200):
+        rows_n, cols_n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = []
+        for _ in range(rows_n):
+            pick = rng.random()
+            if rows and pick < 0.2:
+                rows.append(list(rng.choice(rows)))
+            elif pick < 0.3:
+                rows.append([0] * cols_n)
+            elif pick < 0.6:
+                rows.append([rng.randint(-3, 3) for _ in range(cols_n)])
+            else:
+                rows.append([rng.choice(RATIONAL_POOL) for _ in range(cols_n)])
+        snapshot = [list(r) for r in rows]
+        assert linalg.rank(rows) == len(linalg.rref(rows)[1]), rows
+        assert rows == snapshot
+    assert linalg.rank([]) == 0
+    # dense and square: without Bareiss division the entries blow up here
+    dense = [[rng.choice(RATIONAL_POOL) for _ in range(20)] for _ in range(20)]
+    dense[19] = [a - b for a, b in zip(dense[3], dense[7])]
+    assert linalg.rank(dense) == len(linalg.rref(dense)[1]) == 19
+
+
 def test_nullspace_orthogonal_to_rows():
     rng = random.Random(11)
     for _ in range(25):

@@ -25,6 +25,7 @@ from liex.search import (
     scan_3dim_subalgebras,
     semigroup_inventory,
 )
+from liex.semigroup import SemigroupTable
 from support import unit_rows
 
 
@@ -138,8 +139,43 @@ def test_replay_rejects_tampered_witnesses():
     assert not replay(catalog("sl2R"), dataclasses.replace(w, label="A3.2"))
     open_span = unit_rows(6, (0, 4, 2))
     assert not replay(catalog("sl2R"), dataclasses.replace(w, span=open_span))
+    assert not replay(catalog("sl2R"), dataclasses.replace(w, span=None))
+    assert not replay(catalog("sl2R"), dataclasses.replace(w, basis_change=((1, 2),)))
+    singular = ((0, 0, 0),) * 3
+    assert not replay(catalog("sl2R"), dataclasses.replace(w, basis_change=singular))
     # a witness for the wrong source algebra fails too
     assert not replay(catalog("so3"), w)
+    # a tampered semigroup table or a zero-less semigroup is refused, not raised
+    non_associative = SemigroupTable([[2, 1], [1, 1]])
+    assert not replay(catalog("sl2R"),
+                      dataclasses.replace(w, semigroup=non_associative))
+    z2 = SemigroupTable([[1, 2], [2, 1]])
+    assert not replay(catalog("sl2R"),
+                      dataclasses.replace(w, mode="zero_reduce", semigroup=z2))
+
+    # a resonant witness must name a resonant decomposition of its own span
+    sl2r = catalog("sl2R")
+    w = find_connection(sl2r, "A3.3", max_order=3, modes=("resonant",)).witnesses[0]
+    assert w.resonance["sets"] == [[], [2], [1, 2]]
+    assert replay(sl2r, w)
+
+    def tampered(**changes):
+        return dataclasses.replace(w, resonance={**w.resonance, **changes})
+
+    assert not replay(sl2r, dataclasses.replace(w, resonance=None))
+    # still resonant, but its span is not the witness span
+    assert not replay(sl2r, tampered(sets=[[], [1], [1, 2]]))
+    # [e2, e3] = e3 does not land in an empty target
+    assert not replay(sl2r, tampered(targets={**w.resonance["targets"], "2,3": []}))
+    # malformed metadata
+    for bad in ({"blocks": [[0], [2], [3]]}, {"blocks": [["1"], [2], [3]]},
+                {"blocks": [[1], [2]]}, {"sets": [[], [True], [1, 2]]},
+                {"sets": [[], [2], [1, 5]]}, {"targets": {"x": []}},
+                {"targets": {"1,4": [1]}}, {"targets": []}):
+        assert not replay(sl2r, tampered(**bad)), bad
+    for bad in ({}, "junk", {"blocks": [[1, 2, 3]]}):
+        assert not replay(sl2r, dataclasses.replace(w, resonance=bad)), bad
+    assert not replay(sl2r, dataclasses.replace(w, semigroup=non_associative))
 
 
 def test_replay_surfaces_internal_errors(monkeypatch):
