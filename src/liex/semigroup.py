@@ -21,15 +21,40 @@ class BoundExceededError(InputFormatError):
 DEFAULT_MAX_ORDER = 4
 
 
+def _relabel(table, perm):
+    """The plain tuple table of SemigroupTable.relabel.
+
+    A perm that is not a permutation leaves 0 entries, which the
+    SemigroupTable constructor refuses.
+    """
+    n = len(table)
+    new = [[0] * n for _ in range(n)]
+    for a, row in enumerate(table):
+        out = new[perm[a] - 1]
+        for b, x in enumerate(row):
+            out[perm[b] - 1] = perm[x - 1]
+    return tuple(map(tuple, new))
+
+
+def _orbit(table):
+    """Every relabeling of a tuple table, as a set of tuple tables."""
+    return {_relabel(table, perm)
+            for perm in permutations(range(1, len(table) + 1))}
+
+
 class SemigroupTable:
     __slots__ = ("order", "table")
 
     def __init__(self, table):
+        if not isinstance(table, (list, tuple)):
+            raise InputFormatError("table must be a list of rows")
         n = len(table)
         if n == 0:
             raise InputFormatError("empty multiplication table")
         tab = []
         for row in table:
+            if not isinstance(row, (list, tuple)):
+                raise InputFormatError("table rows must be lists")
             if len(row) != n:
                 raise InputFormatError("table is not square")
             for x in row:
@@ -59,12 +84,7 @@ class SemigroupTable:
 
         New table satisfies new[perm(a)][perm(b)] = perm(old[a][b]).
         """
-        n = self.order
-        new = [[0] * n for _ in range(n)]
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                new[perm[a - 1] - 1][perm[b - 1] - 1] = perm[self.table[a - 1][b - 1] - 1]
-        return SemigroupTable(new)
+        return SemigroupTable(_relabel(self.table, perm))
 
     def to_json(self):
         return {"order": self.order, "table": [list(r) for r in self.table]}
@@ -136,13 +156,7 @@ def canonical_form(s):
 
     Deterministic representative of the isomorphism class; idempotent.
     """
-    n = s.order
-    best = None
-    for perm in permutations(range(1, n + 1)):
-        cand = s.relabel(perm).table
-        if best is None or cand < best:
-            best = cand
-    return SemigroupTable([list(r) for r in best])
+    return SemigroupTable(min(_orbit(s.table)))
 
 
 def semigroups_isomorphic(a, b):
@@ -153,7 +167,7 @@ def semigroups_isomorphic(a, b):
     if a.order != b.order:
         return None
     for perm in permutations(range(1, a.order + 1)):
-        if a.relabel(perm) == b:
+        if _relabel(a.table, perm) == b.table:
             return perm
     return None
 
@@ -162,9 +176,16 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
                                  max_order=DEFAULT_MAX_ORDER):
     """All Abelian semigroup tables of the given order, sorted.
 
-    With up_to_isomorphism, one representative per relabeling orbit (the
-    canonical form).  DFS over the upper triangle with incremental
-    associativity pruning; the complete check runs once per filled table.
+    A DFS fills the upper triangle cell by cell.  After each assignment it
+    checks associativity only on the triples (a, b, c) that one of their
+    four lookups ab, bc, (ab)c, a(bc) ties to the new cell: any other
+    triple with all four lookups assigned was checked when its last cell
+    was filled.  The complete check still runs once per filled table.
+
+    With up_to_isomorphism, one representative per relabeling orbit, the
+    canonical form.  The labelled DFS yields every table of each orbit, so
+    the first table met of an orbit adds the whole orbit to a seen set, the
+    later ones are skipped, and canonical_form runs once per class.
     """
     if order < 1:
         raise InputFormatError("order must be positive")
@@ -175,21 +196,31 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
     cells = [(a, b) for a in range(n) for b in range(a, n)]
     t = [[0] * n for _ in range(n)]  # 0 = unassigned
 
-    def assoc_ok_partial():
-        # check only triples whose four lookups are all assigned
-        for a in range(n):
-            for b in range(n):
-                ab = t[a][b]
-                if not ab:
-                    continue
-                for c in range(n):
-                    bc = t[b][c]
-                    if not bc:
-                        continue
-                    left = t[ab - 1][c]
-                    right = t[a][bc - 1]
-                    if left and right and left != right:
-                        return False
+    def assoc_ok(x, y, z):
+        xy = t[x][y]
+        yz = t[y][z]
+        if not xy or not yz:
+            return True
+        left = t[xy - 1][z]
+        right = t[x][yz - 1]
+        return not left or not right or left == right
+
+    def assoc_ok_at(a, b):
+        # The table stays symmetric, so (x, y, z) and (z, y, x) are one
+        # check: their two sides swap.  Triples with the cell as their ab
+        # or bc lookup are then (a, b, z) and (b, a, z); triples with it as
+        # their (ab)c or a(bc) lookup are (p, q, b) with pq = a and
+        # (p, q, a) with pq = b.
+        for z in range(n):
+            if not (assoc_ok(a, b, z) and assoc_ok(b, a, z)):
+                return False
+        for p in range(n):
+            for q in range(n):
+                v = t[p][q] - 1
+                if v == a and not assoc_ok(p, q, b):
+                    return False
+                if v == b and not assoc_ok(p, q, a):
+                    return False
         return True
 
     out = []
@@ -201,7 +232,7 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
         a, b = cells[idx]
         for v in range(1, n + 1):
             t[a][b] = t[b][a] = v
-            if assoc_ok_partial():
+            if assoc_ok_at(a, b):
                 fill(idx + 1)
         t[a][b] = t[b][a] = 0
 
@@ -209,10 +240,13 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
     for s in out:
         assert validate_semigroup(s)["ok"]
     if up_to_isomorphism:
-        reps = {}
+        seen = set()
+        reps = []
         for s in out:
-            reps.setdefault(canonical_form(s).table, s)
-        out = [SemigroupTable([list(r) for r in tab]) for tab in sorted(reps)]
+            if s.table not in seen:
+                seen |= _orbit(s.table)
+                reps.append(canonical_form(s).table)
+        out = [SemigroupTable(tab) for tab in sorted(reps)]
     else:
         out.sort(key=lambda s: s.table)
     return out

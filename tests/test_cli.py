@@ -210,6 +210,11 @@ def test_malformed_json_files_get_the_input_format_envelope(capsys, tmp_path):
     code, out = run_json(capsys, ["contract", "--algebra", "sl2R",
                                   "--family", str(fam)])
     assert code == 1 and out["error"]["code"] == "input_format"
+    table = tmp_path / "semigroup.json"
+    for blob in ({"table": 5}, {"table": [5]}, {"table": None}):
+        table.write_text(json.dumps(blob))
+        code, out = run_json(capsys, ["validate", "--semigroup", str(table)])
+        assert code == 1 and out["error"]["code"] == "input_format", blob
 
 
 def test_contract_plain_limit(capsys, tmp_path):

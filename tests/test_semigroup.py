@@ -1,13 +1,15 @@
 """Semigroup tables: validation, zeros, isomorphism, enumeration.
 
 The enumeration counts are cross-checked against a dumb generate-and-filter
-oracle at order 3 (729 symmetric tables, full associativity check each).
+oracle at order 3 (729 symmetric tables, full associativity check each), and
+against OEIS A001426 up to order 5.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
+from liex import semigroup
 from liex.errors import InputFormatError, NoZeroElementError
 from liex.semigroup import (
     S2,
@@ -134,8 +136,50 @@ def test_order3_against_brute_force():
 
 
 def test_order4_counts():
-    assert len(enumerate_abelian_semigroups(4)) == 58
-    assert len(enumerate_abelian_semigroups(4, up_to_isomorphism=False)) == 1140
+    labelled = enumerate_abelian_semigroups(4, up_to_isomorphism=False)
+    reps = enumerate_abelian_semigroups(4)
+    assert len(reps) == 58
+    assert len(labelled) == 1140
+    # the canonical form of every labelled table, as enumeration once did it
+    assert [s.table for s in reps] == sorted({canonical_form(s).table
+                                              for s in labelled})
+
+
+def test_counts_match_oeis():
+    # classes: OEIS A001426; labelled tables: every relabeling counted
+    for order, classes, labelled in ((1, 1, 1), (2, 3, 6), (3, 12, 63),
+                                     (4, 58, 1140), (5, 325, 30730)):
+        assert len(enumerate_abelian_semigroups(order, max_order=5)) == classes
+        assert len(enumerate_abelian_semigroups(
+            order, up_to_isomorphism=False, max_order=5)) == labelled
+
+
+def test_one_canonical_form_per_class(monkeypatch):
+    calls = []
+    real = semigroup.canonical_form
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(semigroup, "canonical_form", counting)
+    reps = enumerate_abelian_semigroups(4)
+    assert len(reps) == len(calls) == 58
+    calls.clear()
+    enumerate_abelian_semigroups(4, up_to_isomorphism=False)
+    assert calls == []
+
+
+def test_relabeling_invariants():
+    # every class under every relabeling covers every labelled table
+    for order in (1, 2, 3, 4):
+        for s in enumerate_abelian_semigroups(order):
+            canon = canonical_form(s)
+            for p in permutations(range(1, order + 1)):
+                image = s.relabel(p)
+                assert canonical_form(image) == canon
+                q = semigroups_isomorphic(s, image)
+                assert q is not None and s.relabel(q) == image
 
 
 def test_enumeration_contains_builtins():
@@ -164,6 +208,9 @@ def test_json_round_trip():
         SemigroupTable.from_json({"order": 2, "table": [[1]]})
     with pytest.raises(InputFormatError):
         SemigroupTable.from_json({})
+    for table in (5, [5], None, [None], "1", {"1": [1]}):
+        with pytest.raises(InputFormatError):
+            SemigroupTable.from_json({"table": table})
 
 
 def test_json_rejects_bool_order():
