@@ -111,6 +111,8 @@ def _max_order_cap():
 
 
 def _check_max_order(max_order):
+    if max_order < 1:
+        raise InputFormatError("max order must be positive")
     cap = _max_order_cap()
     if max_order > cap:
         raise InputFormatError("max order %d exceeds the bound %d "

@@ -9,6 +9,12 @@ Negative results mean exactly "no witness in this bounded space", and
 every result carries the count of candidates examined so the claim is
 reproducible.
 
+Resonant mode filters the same scan of the expansion: a closed coordinate
+triple is a resonant subalgebra iff its semigroup indices cover S (see
+_coarsest_decomposition), and its witness names the coarsest decomposition.
+Its `space` count is the closed-form size of the decomposition space, the
+block partitions of the source basis times one subset of S per block.
+
 Classification of the small restricted tensors is cached globally, since
 the same tensor shows up in many spans and across searches.
 """
@@ -16,16 +22,16 @@ the same tensor shows up in many spans and across searches.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from . import linalg
 from .errors import (InputFormatError, LiexError, ParameterNotRationalError,
                      RationalFormError)
 from .expansion import (ResonanceSpec, extract_subalgebra, resonant_span,
-                        s_expand, validate_resonance, zero_reduce)
+                        s_expand, split_index, validate_resonance, zero_reduce)
 from .identify import identify3
-from .liealg import (StructureTensor, Subspace, bracket, catalog, change_basis,
-                     parse_label, resolve_algebra)
+from .liealg import (StructureTensor, Subspace, catalog, change_basis, parse_label,
+                     resolve_algebra)
 from .semigroup import (S2, S3, enumerate_abelian_semigroups, semigroups_isomorphic,
                         zero_element)
 
@@ -171,85 +177,49 @@ def scan_3dim_subalgebras(ambient):
     return tuple(records), examined
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+def _decompositions(n, order):
+    """Size of the resonant decomposition space of an n-dim algebra and a
+    semigroup S of the given order: a block partition of the basis and one
+    subset of S per block, sum_k S(n, k) (2^order)^k with S(n, k) the
+    Stirling numbers of the second kind."""
+    row = [1]                           # S(0, k) for k = 0
+    for m in range(1, n + 1):
+        row = [(k * row[k] if k < m else 0) + (row[k - 1] if k else 0)
+               for k in range(m + 1)]
+    return sum(sk << (order * k) for k, sk in enumerate(row))
 
 
-def _index_subsets(n):
-    full = list(range(1, n + 1))
-    out = []
-    for r in range(n + 1):
-        out.extend(frozenset(c) for c in combinations(full, r))
-    return out
+def _coarsest_decomposition(s, c, span):
+    """Resonance metadata for a closed coordinate span, or None when the
+    span is not a resonant subalgebra.
 
-
-def _resonant_candidates(s, c):
-    """(spec, meta) pairs for decompositions whose resonant subalgebra is
-    3-dim: blocks are basis subsets, index sets covering subsets (a part's
-    set may be empty; only the union must exhaust the semigroup), targets
-    the minimal sets compatible with the brackets."""
+    Let A_i be the set of alpha with e_i x lambda_alpha in the span.  The
+    span is closed iff A_i A_j lies in A_k whenever C_ij^k != 0, which is
+    the product condition for blocks of rows with equal A_i; so it is the
+    resonant subalgebra of a decomposition iff the A_i cover S.  The
+    coarsest such decomposition is named: blocks are the classes of rows
+    with equal A_i, targets the minimal ones the brackets allow.
+    """
     n, N = c.dim, s.order
-    subsets = _index_subsets(N)
-    full = frozenset(range(1, N + 1))
-    examined = 0
-    specs = []
-    for blocks in _set_partitions(list(range(1, n + 1))):
-        blocks = sorted(sorted(bl) for bl in blocks)
-        k = len(blocks)
-        # minimal target blocks for each pair, from coordinate supports
-        tmin = {}
-        for p in range(k):
-            for q in range(k):
-                touched = set()
-                for i in blocks[p]:
-                    for j in blocks[q]:
-                        w = bracket(c, linalg.e_k(n, i - 1), linalg.e_k(n, j - 1))
-                        for t, x in enumerate(w):
-                            if x:
-                                touched.add(t + 1)
-                tmin[(p, q)] = frozenset(
-                    r for r in range(k) if touched & set(blocks[r]))
-        for cover in iproduct(subsets, repeat=k):
-            examined += 1
-            if frozenset().union(*cover) != full:
-                continue
-            if sum(len(cover[p]) * len(blocks[p]) for p in range(k)) != 3:
-                continue
-            ok = True
-            for p in range(k):
-                for q in range(k):
-                    for al in cover[p]:
-                        for be in cover[q]:
-                            g = s.product(al, be)
-                            if any(g not in cover[r] for r in tmin[(p, q)]):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            parts = {p: Subspace(n, [linalg.e_k(n, i - 1) for i in blocks[p]])
-                     for p in range(k)}
-            spec = ResonanceSpec(parts, {p: cover[p] for p in range(k)},
-                                 {(p, q): tmin[(p, q)] for p in range(k)
-                                  for q in range(k)})
-            meta = {"blocks": blocks,
-                    "sets": [sorted(cover[p]) for p in range(k)],
-                    "targets": {"%d,%d" % (p + 1, q + 1): sorted(x + 1 for x in tmin[(p, q)])
-                                for p in range(k) for q in range(k)}}
-            specs.append((spec, meta))
-    return specs, examined
+    sets = [set() for _ in range(n)]
+    for v in span:
+        i, alpha = split_index(v.index(1) + 1, N)
+        sets[i - 1].add(alpha)
+    if set().union(*sets) != set(range(1, N + 1)):
+        return None
+    classes = {}
+    for i, a in enumerate(sets, 1):
+        classes.setdefault(frozenset(a), []).append(i)
+    blocks = sorted(classes.values())
+    block_of = {i: p for p, bl in enumerate(blocks, 1) for i in bl}
+    targets = {}
+    for p, bp in enumerate(blocks, 1):
+        for q, bq in enumerate(blocks, 1):
+            targets["%d,%d" % (p, q)] = sorted(
+                {block_of[k] for i in bp for j in bq
+                 for k, x in enumerate(c.c[i - 1][j - 1], 1) if x})
+    return {"blocks": blocks, "sets": [sorted(sets[bl[0] - 1]) for bl in blocks],
+            "targets": targets}
 
 
 RESONANT_ORDER_BOUND = 3
@@ -274,7 +244,7 @@ def _search(source, max_order, modes, wants):
     set of (label, param) keys.
 
     Each (source, semigroup) pair is expanded at most once, and the
-    subalgebra and resonant modes share that expansion.  Returns the
+    subalgebra and resonant modes share that expansion and its scan.  Returns the
     witnesses in inventory order (semigroup, then mode, then span) and the
     space counts, which do not depend on `wants`.
     """
@@ -287,6 +257,9 @@ def _search(source, max_order, modes, wants):
     def record(sub, s, sname, mode, span, meta):
         ident = _identify_or_none(sub)
         if ident is not None and (ident.label, ident.param) in wants:
+            if meta is not None:
+                spec = _resonance_spec(s, source.dim, meta)
+                assert validate_resonance(s, source, spec)["ok"], meta
             witnesses.append(Witness(s, sname, mode, span, meta,
                                      ident.label, ident.param, ident.witness))
 
@@ -308,20 +281,14 @@ def _search(source, max_order, modes, wants):
             if reduced.dim >= 3:
                 match_spans(reduced, s, sname, "zero_reduce")
         if "resonant" in modes and s.order <= RESONANT_ORDER_BOUND:
-            specs, examined = _resonant_candidates(s, source)
-            space["resonant_candidates"] += examined
+            space["resonant_candidates"] += _decompositions(source.dim, s.order)
             if expanded is None:
                 expanded = s_expand(s, source)
-            seen_spans = set()
-            for spec, meta in specs:
-                span = resonant_span(s, source, spec)
-                if span.basis in seen_spans:
-                    continue
-                seen_spans.add(span.basis)
-                if not validate_resonance(s, source, spec)["ok"]:
-                    continue
-                record(extract_subalgebra(expanded, span), s, sname,
-                       "resonant", span.basis, meta)
+            for gens, dd, gt in scan_3dim_subalgebras(expanded)[0]:
+                if dd in dds:
+                    meta = _coarsest_decomposition(s, source, gens)
+                    if meta is not None:
+                        record(gt, s, sname, "resonant", gens, meta)
     return witnesses, space
 
 
@@ -352,7 +319,7 @@ def _indices(xs, hi):
 
 def _resonance_spec(s, n, meta):
     """The ResonanceSpec a resonant witness names, from the 1-based blocks,
-    sets and "p,q" targets that _resonant_candidates writes."""
+    sets and "p,q" targets that _coarsest_decomposition writes."""
     try:
         blocks, sets = meta["blocks"], meta["sets"]
         targets = {}

@@ -264,6 +264,13 @@ def test_max_order_cap(capsys, monkeypatch):
     assert "exceeds the bound 2" in out["error"]["message"]
     code, out = run_json(capsys, ["enumerate-semigroups", "--order", "3"])
     assert code == 1
+    for order in ("0", "-2"):
+        for argv in (["search", "--from", "sl2R", "--to", "A2.1+A1"],
+                     ["graph", "--labels", "sl2R,so3"]):
+            code, out = run_json(capsys, argv + ["--max-order", order])
+            assert code == 1, (argv, order)
+            assert out["error"]["code"] == "input_format"
+            assert "must be positive" in out["error"]["message"]
     monkeypatch.setenv("LIEX_MAX_ORDER", "zzz")
     code, out = run_json(capsys, ["search", "--from", "sl2R",
                                   "--to", "A2.1+A1", "--max-order", "2"])

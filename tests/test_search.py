@@ -7,12 +7,16 @@ means the enumeration or the classifier changed behavior.
 """
 
 import dataclasses
+from collections import Counter
+from itertools import combinations, product as iproduct
 
 import pytest
 
-from liex import search
+from liex import linalg, search
 from liex.errors import InputFormatError
-from liex.liealg import catalog, change_basis, resolve_algebra
+from liex.expansion import (ResonanceSpec, extract_subalgebra, resonant_span,
+                            s_expand, split_index, validate_resonance)
+from liex.liealg import Subspace, bracket, catalog, change_basis, resolve_algebra
 from liex.search import (
     DD_BY_LABEL,
     SearchResult,
@@ -30,6 +34,8 @@ from support import unit_rows
 
 
 ALL_MODES = ("subalgebra", "zero_reduce", "resonant")
+ALL3 = ("3A1", "A2.1+A1", "A3.1", "A3.2", "A3.3", "A3.4(a=1/2)", "A3.5(b=1)",
+        "sl2R", "so3")
 
 
 def spans_of(res):
@@ -123,6 +129,149 @@ def test_resonant_search():
     assert any(w.semigroup_name == "S2" for w in res.witnesses)
 
 
+# The partition x cover enumerator that resonant mode used before it became
+# a filter on the coordinate scan, kept as the reference.
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def _index_subsets(n):
+    full = list(range(1, n + 1))
+    return [frozenset(c) for r in range(n + 1) for c in combinations(full, r)]
+
+
+def _reference_decompositions(s, c):
+    """(spec, meta) for every decomposition whose resonant subalgebra is
+    3-dim, in partition-then-cover order, and the number examined."""
+    n, N = c.dim, s.order
+    full = frozenset(range(1, N + 1))
+    examined = 0
+    specs = []
+    for blocks in _set_partitions(list(range(1, n + 1))):
+        blocks = sorted(sorted(bl) for bl in blocks)
+        k = len(blocks)
+        tmin = {}
+        for p in range(k):
+            for q in range(k):
+                touched = {t + 1 for i in blocks[p] for j in blocks[q]
+                           for t, x in enumerate(bracket(c, linalg.e_k(n, i - 1),
+                                                         linalg.e_k(n, j - 1)))
+                           if x}
+                tmin[(p, q)] = frozenset(
+                    r for r in range(k) if touched & set(blocks[r]))
+        for cover in iproduct(_index_subsets(N), repeat=k):
+            examined += 1
+            if frozenset().union(*cover) != full:
+                continue
+            if sum(len(cover[p]) * len(blocks[p]) for p in range(k)) != 3:
+                continue
+            if any(s.product(al, be) not in cover[r]
+                   for (p, q), rs in tmin.items() for r in rs
+                   for al in cover[p] for be in cover[q]):
+                continue
+            parts = {p: Subspace(n, [linalg.e_k(n, i - 1) for i in blocks[p]])
+                     for p in range(k)}
+            specs.append((ResonanceSpec(parts, dict(enumerate(cover)), tmin),
+                          {"blocks": blocks,
+                           "sets": [sorted(cover[p]) for p in range(k)],
+                           "targets": {"%d,%d" % (p + 1, q + 1):
+                                       sorted(x + 1 for x in tmin[(p, q)])
+                                       for p in range(k) for q in range(k)}}))
+    return specs, examined
+
+
+def _reference_resonant_search(source, max_order):
+    """Every identified resonant witness, with the first decomposition found
+    for each span, and the number of decompositions examined."""
+    witnesses, examined = [], 0
+    for s, sname in semigroup_inventory(max_order):
+        if s.order > search.RESONANT_ORDER_BOUND:
+            continue
+        specs, ex = _reference_decompositions(s, source)
+        examined += ex
+        expanded = s_expand(s, source)
+        seen = set()
+        for spec, meta in specs:
+            span = resonant_span(s, source, spec).basis
+            if span in seen:
+                continue
+            seen.add(span)
+            if not validate_resonance(s, source, spec)["ok"]:
+                continue
+            ident = search._identify_or_none(extract_subalgebra(expanded, span))
+            if ident is not None:
+                witnesses.append(search.Witness(
+                    s, sname, "resonant", span, meta, ident.label, ident.param,
+                    ident.witness))
+    return witnesses, examined
+
+
+@pytest.mark.parametrize("src", ["sl2R", "A2.1+A1", "so3"])
+def test_resonant_search_matches_reference_enumerator(src):
+    source = resolve_algebra(src)
+    ref, examined = _reference_resonant_search(source, 3)
+    got = []
+    for dst in ALL3:
+        res = find_connection(source, dst, max_order=3, modes=("resonant",))
+        assert res.space == {"semigroups": 16, "resonant_candidates": examined}
+        got.extend(res.witnesses)
+    wants = {search._target_key(lab) for lab in ALL3}
+    ref = [w for w in ref if (w.label, w.param) in wants]
+    assert got
+    assert Counter(repr(w.to_json()) for w in got) \
+        == Counter(repr(w.to_json()) for w in ref)
+
+
+def test_resonant_witnesses_are_covering_subalgebra_witnesses():
+    """Resonant witnesses are the subalgebra witnesses, in scan order, whose
+    spans' semigroup indices cover S; only mode and resonance differ."""
+    wants = {search._target_key(lab) for lab in ALL3}
+    total = 0
+    for src in ALL3:
+        source = resolve_algebra(src)
+        found, _ = search._search(source, 3, ("subalgebra", "resonant"), wants)
+        sub = [w for w in found if w.mode == "subalgebra"]
+        res = [w for w in found if w.mode == "resonant"]
+
+        def covers(w):
+            order = w.semigroup.order
+            return {split_index(v.index(1) + 1, order)[1] for v in w.span} \
+                == set(range(1, order + 1))
+
+        covering = [w for w in sub if covers(w)]
+        assert len(covering) == len(res), src
+        assert [dataclasses.replace(w, mode="resonant", resonance=r.resonance)
+                for w, r in zip(covering, res)] == res, src
+        total += len(res)
+    assert total == 1726
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_decomposition_count_closed_form(n, order):
+    brute = sum(1 for blocks in _set_partitions(list(range(n)))
+                for _ in iproduct(_index_subsets(order), repeat=len(blocks)))
+    assert search._decompositions(n, order) == brute
+
+
+def test_resonant_search_scales_past_the_cover_loop():
+    # the partition x cover loop examined all 1,081,122 decompositions of gF
+    gf = resolve_algebra("gF")
+    res = find_connection(gf, "A3.1", max_order=2, modes=("resonant",))
+    assert res.space == {"semigroups": 4, "resonant_candidates": 1081122}
+    assert len(res.witnesses) == 45
+    for w in res.witnesses:
+        assert replay(gf, w)
+
+
 def test_negative_searches_are_empty():
     for src in ("sl2R", "so3"):
         for target in ("A3.2", "A3.4(a=1/2)", "A3.5(b=1)"):
@@ -155,8 +304,8 @@ def test_replay_rejects_tampered_witnesses():
 
     # a resonant witness must name a resonant decomposition of its own span
     sl2r = catalog("sl2R")
-    w = find_connection(sl2r, "A3.3", max_order=3, modes=("resonant",)).witnesses[0]
-    assert w.resonance["sets"] == [[], [2], [1, 2]]
+    res = find_connection(sl2r, "A3.3", max_order=3, modes=("resonant",))
+    w = next(w for w in res.witnesses if w.resonance["sets"] == [[], [2], [1, 2]])
     assert replay(sl2r, w)
 
     def tampered(**changes):
