@@ -132,7 +132,7 @@ def cmd_validate(args):
             "jacobi": [[i, j, k, l, str(res)] for i, j, k, l, res in rep["jacobi"]],
         }
         if not rep["ok"]:
-            w = (out["algebra"]["jacobi"] or out["algebra"]["antisymmetry"])[0]
+            w = out["algebra"]["jacobi"][0]
             out["error"] = {"code": "not_a_lie_algebra",
                             "message": "tensor fails validation", "witness": w}
     if args.semigroup:

@@ -345,9 +345,9 @@ def limit(lt):
                 v = e.valuation()
                 if v is not None and v < 0:
                     return Divergent(i + 1, j + 1, k + 1, v)
-    out = [[[lt.entries[i][j][k].value_at_zero() for k in range(n)]
-            for j in range(n)] for i in range(n)]
-    t = StructureTensor(out)
+    t = StructureTensor(n, {(i, j): [(k, e.value_at_zero())
+                                     for k, e in enumerate(lt.entries[i][j])]
+                            for i in range(n) for j in range(i + 1, n)})
     rep = validate_lie(t)
     assert rep["ok"], "contraction limit lost the Jacobi identity"
     return t

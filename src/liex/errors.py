@@ -36,7 +36,7 @@ class NoZeroElementError(LiexError):
 
 
 class NotALieAlgebraError(LiexError):
-    """Structure tensor fails antisymmetry or the Jacobi identity."""
+    """Structure tensor fails the Jacobi identity."""
 
     code = "not_a_lie_algebra"
 

@@ -39,27 +39,20 @@ def require_semigroup(s):
 def _expand(s, c, elems):
     """S x g on the basis lambda_a e_i, a in elems, in flat order; brackets
     whose semigroup product leaves elems are cut."""
-    n = c.dim
     inside = set(elems)
-    basis = [(i, a) for i in range(n) for a in elems]
-    pos = {ia: t for t, ia in enumerate(basis)}
-    nd = len(basis)
-    out = [[[Fraction(0)] * nd for _ in range(nd)] for _ in range(nd)]
-    for i in range(n):
-        for j in range(n):
-            row = [(k, v) for k, v in enumerate(c.c[i][j]) if v]
-            if not row:
-                continue
-            for a in elems:
-                fi = out[pos[(i, a)]]
-                for b in elems:
-                    g = s.product(a, b)
-                    if g not in inside:
-                        continue
-                    fij = fi[pos[(j, b)]]
-                    for k, v in row:
-                        fij[pos[(k, g)]] = v
-    t = StructureTensor(out)
+    m = len(elems)
+    pos = {a: t for t, a in enumerate(elems)}
+    # with the algebra index major, i < j puts (i, a) before (j, b) for
+    # every a, b, so each stored pair of g yields stored pairs of S x g
+    rows = {}
+    for (i, j), row in c.rows.items():
+        for a in elems:
+            for b in elems:
+                g = s.product(a, b)
+                if g in inside:
+                    rows[(i * m + pos[a], j * m + pos[b])] = [
+                        (k * m + pos[g], v) for k, v in row]
+    t = StructureTensor(c.dim * m, rows)
     assert validate_lie(t)["ok"]
     return t
 
@@ -93,7 +86,7 @@ def extract_subalgebra(c, span):
         span = Subspace(c.dim, span)
     basis = [list(v) for v in span.basis]
     m = len(basis)
-    out = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    rows = {}
     for a in range(m):
         for b in range(a + 1, m):
             w = bracket(c, basis[a], basis[b])
@@ -104,10 +97,8 @@ def extract_subalgebra(c, span):
                     % (a + 1, b + 1),
                     witness={"pair": [a + 1, b + 1],
                              "bracket": [str(x) for x in w]})
-            for k in range(m):
-                out[a][b][k] = coords[k]
-                out[b][a][k] = -coords[k]
-    return StructureTensor(out)
+            rows[(a, b)] = enumerate(coords)
+    return StructureTensor(m, rows)
 
 
 def reduce_decomposition(c, checked, hatted):
@@ -139,16 +130,14 @@ def reduce_decomposition(c, checked, hatted):
     # coordinates in the combined basis; first m coefficients are the
     # checked part of the projection
     combined_t = linalg.transpose(all_rows)
-    out = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    rows = {}
     for a in range(m):
         for b in range(a + 1, m):
             w = bracket(c, list(checked.basis[a]), list(checked.basis[b]))
             coords = linalg.solve(combined_t, w)
             assert coords is not None
-            for k in range(m):
-                out[a][b][k] = coords[k]
-                out[b][a][k] = -coords[k]
-    t = StructureTensor(out)
+            rows[(a, b)] = enumerate(coords[:m])
+    t = StructureTensor(m, rows)
     rep = validate_lie(t)
     assert rep["ok"], "projected bracket lost Jacobi: %r" % (rep["jacobi"][:1],)
     return t

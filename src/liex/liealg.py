@@ -2,18 +2,25 @@
 
 Conventions used throughout the package:
 
-  * [e_i, e_j] = sum_k C[i][j][k] e_k.  Storage is 0-based, every reported
+  * [e_i, e_j] = sum_k C_ij^k e_k.  Storage is 0-based, every reported
     witness/index is 1-based.
+  * A tensor stores only its nonzero brackets: StructureTensor.rows maps
+    each pair (i, j) with i < j and [e_i, e_j] != 0 to the tuple of its
+    nonzero (k, C_ij^k), k ascending.  C_ji = -C_ij and C_ii = 0 are
+    implied, so antisymmetry holds by construction; the canonical form
+    makes == and hash plain comparisons of the stored rows.
   * A basis change u acts by rows: new_i = sum_p u[i][p] old_p, so
-    C'[i][j][k] = sum u[i][p] u[j][q] C[p][q][r] uinv[r][k].
+    C'_ij^k = sum u[i][p] u[j][q] C_pq^r uinv[r][k].
   * Jacobi residual of a triple (i,j,k) is the vector
     [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].
 
 Nothing in here enforces the Jacobi identity at construction time;
 validate_lie reports every violation so that broken tensors can be examined
-(the search module depends on cheap construction).
+(the search module depends on cheap construction).  Its report keeps an
+"antisymmetry" list for the JSON output, which is always empty.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -22,27 +29,30 @@ from .errors import InputFormatError, NotALieAlgebraError, NotASubalgebraError
 
 
 # largest "dim" a tensor or basis family read from JSON may declare: the
-# dense storage is allocated before a single entry is read
+# work and memory of validate_lie, center and derivation_algebra grow as
+# powers of dim, so an untrusted file must not pick it freely
 MAX_JSON_DIM = 64
 
 
 class StructureTensor:
-    __slots__ = ("dim", "c")
+    __slots__ = ("dim", "rows", "_hash")
 
-    def __init__(self, c):
-        n = len(c)
-        tens = []
-        for plane in c:
-            if len(plane) != n:
-                raise InputFormatError("tensor is not n x n x n")
-            rows = []
-            for row in plane:
-                if len(row) != n:
-                    raise InputFormatError("tensor is not n x n x n")
-                rows.append(tuple(linalg.frac(x) for x in row))
-            tens.append(tuple(rows))
-        self.dim = n
-        self.c = tuple(tens)
+    def __init__(self, dim, rows):
+        """rows maps 0-based pairs (i, j), i < j, to iterables of (k, coeff).
+
+        Zero coefficients and empty rows are dropped and each row is sorted
+        by k, so equal tensors store equal rows.  Indices are trusted: input
+        from outside the program goes through from_brackets.  A tensor is
+        never modified after construction, which lets it cache its hash.
+        """
+        canon = {}
+        for ij, row in sorted(rows.items()):
+            row = tuple(sorted((k, q) for k, q in row if q))
+            if row:
+                canon[ij] = row
+        self.dim = dim
+        self.rows = canon
+        self._hash = None
 
     @classmethod
     def from_brackets(cls, n, brackets):
@@ -51,7 +61,7 @@ class StructureTensor:
         Antisymmetry is filled in automatically; specifying both (i,j) and
         (j,i) is rejected to avoid silent double entry.
         """
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        rows = {}
         seen = set()
         for (i, j), coeffs in brackets.items():
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
@@ -59,33 +69,34 @@ class StructureTensor:
             if (j, i) in seen:
                 raise InputFormatError("both (%d,%d) and (%d,%d) specified" % (i, j, j, i))
             seen.add((i, j))
+            row = []
             for k, q in coeffs.items():
                 if not 1 <= k <= n:
                     raise InputFormatError("bracket target %r out of range" % (k,))
                 v = linalg.frac(q)
-                c[i - 1][j - 1][k - 1] = v
-                c[j - 1][i - 1][k - 1] = -v
-        return cls(c)
+                row.append((k - 1, v if i < j else -v))
+            rows[(min(i, j) - 1, max(i, j) - 1)] = row
+        return cls(n, rows)
 
     def bracket_of(self, i, j):
         """{k: coeff} for [e_i, e_j], 1-based, zero entries omitted."""
-        return {k + 1: v for k, v in enumerate(self.c[i - 1][j - 1]) if v}
+        if i > j:
+            return {k: -q for k, q in self.bracket_of(j, i).items()}
+        return {k + 1: q for k, q in self.rows.get((i - 1, j - 1), ())}
 
     def nonzero_brackets(self):
         """Sorted list of (i, j, {k: coeff}) over i < j with nonzero bracket."""
-        out = []
-        for i in range(1, self.dim + 1):
-            for j in range(i + 1, self.dim + 1):
-                b = self.bracket_of(i, j)
-                if b:
-                    out.append((i, j, b))
-        return out
+        return [(i + 1, j + 1, {k + 1: q for k, q in row})
+                for (i, j), row in self.rows.items()]
 
     def __eq__(self, other):
-        return isinstance(other, StructureTensor) and self.c == other.c
+        return (isinstance(other, StructureTensor) and self.dim == other.dim
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash(self.c)
+        if self._hash is None:
+            self._hash = hash((self.dim, tuple(self.rows.items())))
+        return self._hash
 
     def __repr__(self):
         rel = ", ".join("[e%d,e%d]=%s" % (i, j, "+".join(
@@ -137,22 +148,12 @@ def check_json_dim(n):
 
 def bracket(c, x, y):
     """[x, y] for coordinate vectors x, y."""
-    n = c.dim
-    out = [Fraction(0)] * n
-    t = c.c
-    for i in range(n):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(n):
-            yj = y[j]
-            if not yj:
-                continue
-            row = t[i][j]
-            f = xi * yj
-            for k in range(n):
-                if row[k]:
-                    out[k] += f * row[k]
+    out = [Fraction(0)] * c.dim
+    for (i, j), row in c.rows.items():
+        f = x[i] * y[j] - x[j] * y[i]
+        if f:
+            for k, q in row:
+                out[k] += f * q
     return out
 
 
@@ -227,46 +228,54 @@ def full_space(n):
     return Subspace(n, [linalg.e_k(n, i) for i in range(n)])
 
 
-def validate_lie(c):
-    """Report antisymmetry and Jacobi violations.
+def _adjoint_rows(rows):
+    """{i: {m: row of [e_i, e_m]}} over the nonzero brackets, signs applied."""
+    adj = {}
+    for (i, j), row in rows.items():
+        adj.setdefault(i, {})[j] = row
+        adj.setdefault(j, {})[i] = tuple((k, -q) for k, q in row)
+    return adj
 
-    {"ok": bool, "antisymmetry": [(i,j,k)...],
-     "jacobi": [(i,j,k, l, residual)...]} with 1-based indices; the jacobi
-    entries list each nonzero component l of the residual vector of the
-    triple (i,j,k), i<j<k.
+
+def validate_lie(c):
+    """Report Jacobi violations.
+
+    {"ok": bool, "antisymmetry": [], "jacobi": [(i,j,k, l, residual)...]}
+    with 1-based indices; the jacobi entries list each nonzero component l
+    of the residual vector of the triple (i,j,k), i<j<k, in that order.
+    Antisymmetry holds by construction, so its list is always empty.
+
+    Only the terms [e_x, [e_a, e_b]] whose two brackets are both nonzero
+    are formed.  The arithmetic is on integer numerators over the common
+    denominator d of all coefficients, so a residual is an integer over d^2.
     """
-    n = c.dim
-    t = c.c
-    anti = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                if t[i][j][k] != -t[j][i][k]:
-                    anti.append((i + 1, j + 1, k + 1))
-    jac = []
-    for i in range(n):
-        ei = linalg.e_k(n, i)
-        for j in range(i + 1, n):
-            ej = linalg.e_k(n, j)
-            for k in range(j + 1, n):
-                ek = linalg.e_k(n, k)
-                r1 = bracket(c, ei, bracket(c, ej, ek))
-                r2 = bracket(c, ej, bracket(c, ek, ei))
-                r3 = bracket(c, ek, bracket(c, ei, ej))
-                for l in range(n):
-                    res = r1[l] + r2[l] + r3[l]
-                    if res:
-                        jac.append((i + 1, j + 1, k + 1, l + 1, res))
-    return {"ok": not anti and not jac, "antisymmetry": anti, "jacobi": jac}
+    d = math.lcm(*(q.denominator for row in c.rows.values() for _, q in row))
+    num = {ij: tuple((k, q.numerator * (d // q.denominator)) for k, q in row)
+           for ij, row in c.rows.items()}
+    adj = _adjoint_rows(num)
+    acc = {}
+    # the residual of i<j<k is [e_i,[e_j,e_k]] - [e_j,[e_i,e_k]] +
+    # [e_k,[e_i,e_j]]: each stored pair (a, b) meets every outer index x
+    # through [e_x, e_m] = -[e_m, e_x] for m in the support of [e_a, e_b]
+    for (a, b), row in num.items():
+        for m, p in row:
+            for x, inner in adj.get(m, {}).items():
+                if x == a or x == b:
+                    continue
+                f = p if a < x < b else -p
+                res = acc.setdefault(tuple(sorted((a, b, x))), {})
+                for l, r in inner:
+                    res[l] = res.get(l, 0) + f * r
+    dd = d * d
+    jac = [(i + 1, j + 1, k + 1, l + 1, Fraction(v, dd))
+           for (i, j, k), res in sorted(acc.items())
+           for l, v in sorted(res.items()) if v]
+    return {"ok": not jac, "antisymmetry": [], "jacobi": jac}
 
 
 def require_lie(c):
     rep = validate_lie(c)
     if not rep["ok"]:
-        if rep["antisymmetry"]:
-            w = rep["antisymmetry"][0]
-            raise NotALieAlgebraError("tensor fails antisymmetry at %r" % (w,),
-                                      witness=list(w))
         i, j, k, l, res = rep["jacobi"][0]
         raise NotALieAlgebraError(
             "tensor fails Jacobi at (%d,%d,%d), residual %s on e_%d" % (i, j, k, res, l),
@@ -294,39 +303,26 @@ def transform_brackets(c, rows, back, zero):
     zero is `zero` (Fraction, or LaurentPoly in contraction.py).
     """
     n = c.dim
-    t = c.c
     for i in range(n):
         ri = rows[i]
         for j in range(i + 1, n):
             rj = rows[j]
             # [new_i, new_j] in old coordinates
             v = [zero] * n
-            for p in range(n):
-                x = ri[p]
-                if not x:
-                    continue
-                for q in range(n):
-                    y = rj[q]
-                    if not y:
-                        continue
-                    row = t[p][q]
-                    f = x * y
-                    for r in range(n):
-                        if row[r]:
-                            v[r] += f * row[r]
+            for (p, q), row in c.rows.items():
+                f = ri[p] * rj[q] - ri[q] * rj[p]
+                if f:
+                    for r, x in row:
+                        v[r] += f * x
             yield i, j, [sum((v[r] * back[r][k] for r in range(n) if v[r]), zero)
                          for k in range(n)]
 
 
 def change_basis(c, u):
     """Rewrite the bracket in the basis new_i = sum_p u[i][p] old_p."""
-    n = c.dim
-    m, inv = as_basis_change(u, n)
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, j, w in transform_brackets(c, m, inv, Fraction(0)):
-        out[i][j] = w
-        out[j][i] = [-x for x in w]
-    return StructureTensor(out)
+    m, inv = as_basis_change(u, c.dim)
+    return StructureTensor(c.dim, {(i, j): enumerate(w) for i, j, w
+                                   in transform_brackets(c, m, inv, Fraction(0))})
 
 
 def compose_changes(u, v):
@@ -336,8 +332,13 @@ def compose_changes(u, v):
 
 def is_unimodular(c):
     """{"unimodular": bool, "traces": [tr ad_{e_1}, ...]}."""
-    n = c.dim
-    traces = [sum(c.c[i][j][j] for j in range(n)) for i in range(n)]
+    traces = [Fraction(0)] * c.dim
+    for (i, j), row in c.rows.items():
+        for k, q in row:
+            if k == j:
+                traces[i] += q
+            elif k == i:
+                traces[j] -= q
     return {"unimodular": all(t == 0 for t in traces), "traces": traces}
 
 
@@ -385,11 +386,12 @@ def derived_subalgebra(c):
 def center(c):
     """{v : [v, x] = 0 for all x}, via one stacked linear system."""
     n = c.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([c.c[i][j][k] for i in range(n)])
-    return Subspace(n, linalg.nullspace(rows, ncols=n))
+    eqs = {}
+    for i, brs in _adjoint_rows(c.rows).items():
+        for j, row in brs.items():
+            for k, q in row:
+                eqs.setdefault((j, k), [Fraction(0)] * n)[i] = q
+    return Subspace(n, linalg.nullspace([eqs[jk] for jk in sorted(eqs)], ncols=n))
 
 
 def killing_form(c):
@@ -416,22 +418,23 @@ def derivation_algebra(c):
     pair i<j and target coordinate s.  Returns matrices, deterministic order.
     """
     n = c.dim
-    t = c.c
+    adj = _adjoint_rows(c.rows)
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            for s in range(n):
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    if t[i][j][k]:
-                        row[s * n + k] += t[i][j][k]
-                for r in range(n):
-                    if t[r][j][s]:
-                        row[r * n + i] -= t[r][j][s]
-                    if t[i][r][s]:
-                        row[r * n + j] -= t[i][r][s]
-                if any(row):
-                    rows.append(row)
+            # component s of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0, with
+            # [e_r, e_j] = -[e_j, e_r]
+            eqs = [[Fraction(0)] * (n * n) for _ in range(n)]
+            for k, q in c.rows.get((i, j), ()):
+                for s in range(n):
+                    eqs[s][s * n + k] += q
+            for r, row in adj.get(j, {}).items():
+                for s, q in row:
+                    eqs[s][r * n + i] += q
+            for r, row in adj.get(i, {}).items():
+                for s, q in row:
+                    eqs[s][r * n + j] -= q
+            rows.extend(e for e in eqs if any(e))
     basis = linalg.nullspace(rows, ncols=n * n)
     return [[v[r * n:(r + 1) * n] for r in range(n)] for v in basis]
 

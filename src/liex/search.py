@@ -20,7 +20,6 @@ the same tensor shows up in many spans and across searches.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -109,7 +108,7 @@ def semigroup_inventory(max_order):
 DD_BY_LABEL = {"3A1": 0, "A2.1+A1": 1, "A3.1": 1, "A3.2": 2, "A3.3": 2,
                "A3.4": 2, "A3.5": 2, "sl2R": 3, "so3": 3}
 
-_ZERO3 = StructureTensor([[[0] * 3 for _ in range(3)] for _ in range(3)])
+_ZERO3 = StructureTensor(3, {})
 
 
 @lru_cache(maxsize=None)
@@ -126,14 +125,6 @@ def clear_caches():
     semigroup_inventory.cache_clear()
     scan_3dim_subalgebras.cache_clear()
     _identify_or_none.cache_clear()
-
-
-def _supp(vec):
-    m = 0
-    for i, x in enumerate(vec):
-        if x:
-            m |= 1 << i
-    return m
 
 
 @lru_cache(maxsize=256)
@@ -154,26 +145,24 @@ def scan_3dim_subalgebras(ambient):
         v = [0] * d
         v[i] = 1
         units.append(tuple(v))
-    csupp = [[_supp(ambient.c[a][b]) for b in range(d)] for a in range(d)]
+    coeffs = {ij: dict(row) for ij, row in ambient.rows.items()}
+    supp = {ij: sum(1 << k for k in row) for ij, row in coeffs.items()}
     records = []
     examined = 0
     for a, b, c in combinations(range(d), 3):
         examined += 1
         mask = (1 << a) | (1 << b) | (1 << c)
-        if (csupp[a][b] | csupp[a][c] | csupp[b][c]) & ~mask:
+        if (supp.get((a, b), 0) | supp.get((a, c), 0) | supp.get((b, c), 0)) & ~mask:
             continue
         gens = (units[a], units[b], units[c])
-        rows = [[ambient.c[p][q][t] for t in (a, b, c)]
-                for p, q in ((a, b), (a, c), (b, c))]
+        rows = [[coeffs.get(pq, {}).get(t, 0) for t in (a, b, c)]
+                for pq in ((a, b), (a, c), (b, c))]
         if not any(any(r) for r in rows):
             records.append((gens, 0, _ZERO3))
             continue
-        c3 = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        for (i, j), co in zip(((0, 1), (0, 2), (1, 2)), rows):
-            for k in range(3):
-                c3[i][j][k] = co[k]
-                c3[j][i][k] = -co[k]
-        records.append((gens, linalg.rank(rows), StructureTensor(c3)))
+        c3 = StructureTensor(3, {ij: enumerate(co) for ij, co
+                                 in zip(((0, 1), (0, 2), (1, 2)), rows)})
+        records.append((gens, linalg.rank(rows), c3))
     return tuple(records), examined
 
 
@@ -217,7 +206,7 @@ def _coarsest_decomposition(s, c, span):
         for q, bq in enumerate(blocks, 1):
             targets["%d,%d" % (p, q)] = sorted(
                 {block_of[k] for i in bp for j in bq
-                 for k, x in enumerate(c.c[i - 1][j - 1], 1) if x})
+                 for k in c.bracket_of(i, j)})
     return {"blocks": blocks, "sets": [sorted(sets[bl[0] - 1]) for bl in blocks],
             "targets": targets}
 

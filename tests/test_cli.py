@@ -5,6 +5,7 @@ exit code checked, and any emitted tensor re-parsed through the library to
 prove the formats agree.
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -325,6 +326,26 @@ def test_graph_json(capsys):
     assert len(out["edges"]) == 4
     found = {(e["from"], e["to"]): e["found"] for e in out["edges"]}
     assert found[("sl2R", "A2.1+A1")] and not found[("A2.1+A1", "sl2R")]
+
+
+# sha256 of `liex graph --labels all3 --max-order 3` stdout per mode set,
+# pinned so that changes to the tensor, expansion or search layers keep the
+# printed atlas byte for byte
+GRAPH_ALL3_SHA256 = {
+    "subalgebra": "c5d276be3cc9a4d42ffad30d6546b6451b2143add49e5e75ef3d562fc8cca272",
+    "subalgebra,zero_reduce":
+        "13ff127c00e4bbfbd8bb2e69e5a7f77968455e395ec25f6ced6f5bb2fd98f306",
+    "subalgebra,zero_reduce,resonant":
+        "1182ca960cd502afee844a303693c208c63279e5b3f3763418c307dc152d9c89",
+}
+
+
+@pytest.mark.parametrize("modes", sorted(GRAPH_ALL3_SHA256))
+def test_graph_all3_stdout_is_pinned(capsys, modes):
+    code, out = run(capsys, ["graph", "--labels", "all3", "--max-order", "3",
+                             "--modes", modes])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_ALL3_SHA256[modes]
 
 
 def test_graph_dot_output(capsys, tmp_path):

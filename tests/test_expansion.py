@@ -35,6 +35,7 @@ from liex.liealg import (
     StructureTensor,
     Subspace,
     catalog,
+    derived_subalgebra,
     full_space,
     is_unimodular,
     resolve_algebra,
@@ -145,6 +146,28 @@ def test_reduce_matches_zero_reduce():
             red = reduce_decomposition(s_expand(s, c), unit_rows(d, keep),
                                        unit_rows(d, cut))
             assert red == zero_reduce(s, c), (label, s)
+
+
+def test_expansions_are_lie_with_derived_algebra_ss_times_gg():
+    # every class up to order 3 times every all3 source: S x g satisfies
+    # Jacobi, and its derived algebra is spanned by lambda_ab [x, y], that
+    # is (SS) x [g, g]
+    classes = [s for order in (1, 2, 3) for s in enumerate_abelian_semigroups(order)]
+    for label in ALL3_LABELS:
+        c = resolve_algebra(label)
+        gg = derived_subalgebra(c)
+        for s in classes:
+            ex = s_expand(s, c)
+            assert validate_lie(ex)["ok"], (label, s)
+            elems = range(1, s.order + 1)
+            lifts = []
+            for g in sorted({s.product(a, b) for a in elems for b in elems}):
+                for v in gg.basis:
+                    w = [F(0)] * ex.dim
+                    for i, x in enumerate(v, 1):
+                        w[flat_index(i, g, s.order) - 1] = x
+                    lifts.append(w)
+            assert derived_subalgebra(ex) == Subspace(ex.dim, lifts), (label, s)
 
 
 def test_reduce_two_dim_quotient():

@@ -104,6 +104,93 @@ def test_jacobi_witness():
         require_lie(c)
 
 
+def _dense_jacobi(c):
+    """Reference Jacobi report: full n x n x n constants read through
+    bracket_of, and every triple i<j<k bracketed out in coordinates."""
+    n = c.dim
+    t = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, q in c.bracket_of(i + 1, j + 1).items():
+                t[i][j][k - 1] = q
+
+    def br(x, y):
+        out = [F(0)] * n
+        for i in range(n):
+            for j in range(n):
+                if x[i] and y[j]:
+                    for k in range(n):
+                        out[k] += x[i] * y[j] * t[i][j][k]
+        return out
+
+    jac = []
+    for i in range(n):
+        ei = linalg.e_k(n, i)
+        for j in range(i + 1, n):
+            ej = linalg.e_k(n, j)
+            for k in range(j + 1, n):
+                ek = linalg.e_k(n, k)
+                r1 = br(ei, br(ej, ek))
+                r2 = br(ej, br(ek, ei))
+                r3 = br(ek, br(ei, ej))
+                for l in range(n):
+                    res = r1[l] + r2[l] + r3[l]
+                    if res:
+                        jac.append((i + 1, j + 1, k + 1, l + 1, res))
+    return jac
+
+
+def test_validate_lie_matches_dense_reference():
+    # non-integer coefficients with several denominators, so the common
+    # denominator of the check differs from each residual's own
+    rng = random.Random(8)
+    pool = [q for q in (F(p, d) for p in range(-7, 8) for d in (2, 3, 4, 5, 6))
+            if q.denominator > 1]
+    tensors = []
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        brackets = {}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if rng.random() < 0.6:
+                    pair = (i, j) if rng.random() < 0.5 else (j, i)
+                    brackets[pair] = {k: rng.choice(pool) for k
+                                      in rng.sample(range(1, n + 1), rng.randint(1, 2))}
+        tensors.append(StructureTensor.from_brackets(n, brackets))
+    for name, params in ALL_CATALOG:
+        c = catalog(name, **params)
+        tensors.append(change_basis(c, rand_invertible(rng, c.dim)))
+    lie = fractional = 0
+    for c in tensors:
+        ref = _dense_jacobi(c)
+        assert validate_lie(c) == {"ok": not ref, "antisymmetry": [], "jacobi": ref}, c
+        lie += not ref
+        fractional += any(res.denominator > 1 for *_, res in ref)
+    assert lie >= len(ALL_CATALOG) and fractional >= 40
+
+
+def test_tensors_have_one_canonical_form():
+    # the scan and classification caches and identify3's witness check all
+    # key on == and hash
+    zero = StructureTensor.from_brackets(3, {(1, 2): {3: 0}})
+    assert zero == catalog("3A1") and hash(zero) == hash(catalog("3A1"))
+    assert zero.to_json() == catalog("3A1").to_json()
+    flipped = StructureTensor.from_brackets(3, {(2, 1): {1: -1}})
+    assert flipped == catalog("A2.1+A1") and hash(flipped) == hash(catalog("A2.1+A1"))
+    rng = random.Random(13)
+    for name, params in ALL_CATALOG:
+        c = catalog(name, **params)
+        same = change_basis(c, linalg.identity(c.dim))
+        assert same == c and hash(same) == hash(c)
+        u = rand_invertible(rng, c.dim)
+        back = change_basis(change_basis(c, u), linalg.inverse(u))
+        assert back == c and hash(back) == hash(c)
+        for i in range(1, c.dim + 1):
+            assert c.bracket_of(i, i) == {}
+            for j in range(1, c.dim + 1):
+                assert c.bracket_of(j, i) == {k: -q for k, q in c.bracket_of(i, j).items()}
+
+
 def test_bracket_and_ad():
     c = catalog("sl2R")
     assert bracket(c, [F(1), F(0), F(0)], [F(0), F(1), F(0)]) == [F(1), F(0), F(0)]
