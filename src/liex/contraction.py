@@ -315,7 +315,7 @@ def transform_parametric(c, fam):
     back = linalg.transpose(family_adjugate(fam))
     zero = LaurentFrac(LaurentPoly())
     out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i, j, w in transform_brackets(c, rows, back, LaurentPoly()):
+    for i, j, w in transform_brackets(n, c.rows, rows, back, LaurentPoly()):
         out[i][j] = [LaurentFrac(x, det) if x else zero for x in w]
         out[j][i] = [LaurentFrac(-x, det) if x else zero for x in w]
     return LaurentTensor(n, out)

@@ -8,6 +8,7 @@ the interface: golden tables downstream depend on it.
 
 import re
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .errors import (InputFormatError, NotASemigroupError, NotASubalgebraError,
@@ -76,14 +77,62 @@ def zero_reduce(s, c):
     return _expand(s, c, [a for a in range(1, s.order + 1) if a != z])
 
 
+def _leaves_span(a, b, w):
+    return NotASubalgebraError(
+        "bracket of span basis vectors %d and %d leaves the span" % (a + 1, b + 1),
+        witness={"pair": [a + 1, b + 1], "bracket": w})
+
+
+def coordinate_brackets(c, idx):
+    """Bracket of c on the coordinate span of e_k, k in idx (0-based,
+    ascending), read off the stored rows: {(a, b): ((t, coeff), ...)} over
+    positions in idx, nonzero brackets only.
+
+    Raises NotASubalgebraError like extract_subalgebra, for the first pair
+    of positions whose bracket leaves the span.
+    """
+    pos = {k: t for t, k in enumerate(idx)}
+    rows = {}
+    for a, b in combinations(range(len(idx)), 2):
+        row = c.rows.get((idx[a], idx[b]), ())
+        if any(k not in pos for k, _ in row):
+            w = ["0"] * c.dim
+            for k, q in row:
+                w[k] = str(q)
+            raise _leaves_span(a, b, w)
+        if row:
+            rows[(a, b)] = tuple((pos[k], q) for k, q in row)
+    return rows
+
+
+def _unit_indices(n, gens):
+    """Ascending distinct indices k when every generator is a length-n
+    vector of ints or Fractions equal to e_k, else None."""
+    idx = set()
+    for v in gens:
+        if len(v) != n or not all(isinstance(x, (int, Fraction)) for x in v):
+            return None
+        nz = [k for k, x in enumerate(v) if x]
+        if len(nz) != 1 or v[nz[0]] != 1:
+            return None
+        idx.add(nz[0])
+    return sorted(idx)
+
+
 def extract_subalgebra(c, span):
     """Bracket restricted to a closed span, in its reduced-echelon basis.
 
     span may be a Subspace or a list of generator vectors.  Raises when some
-    bracket of basis vectors leaves the span (with the offending pair).
+    bracket of basis vectors leaves the span (with the offending pair).  A
+    span of unit vectors has those vectors, in index order, as its echelon
+    basis, so its bracket is read off the stored rows.
     """
     if not isinstance(span, Subspace):
-        span = Subspace(c.dim, span)
+        gens = [list(v) for v in span]
+        idx = _unit_indices(c.dim, gens)
+        if idx is not None:
+            return StructureTensor(len(idx), coordinate_brackets(c, idx))
+        span = Subspace(c.dim, gens)
     basis = [list(v) for v in span.basis]
     m = len(basis)
     rows = {}
@@ -92,11 +141,7 @@ def extract_subalgebra(c, span):
             w = bracket(c, basis[a], basis[b])
             coords = span.coordinates_of(w)
             if coords is None:
-                raise NotASubalgebraError(
-                    "bracket of span basis vectors %d and %d leaves the span"
-                    % (a + 1, b + 1),
-                    witness={"pair": [a + 1, b + 1],
-                             "bracket": [str(x) for x in w]})
+                raise _leaves_span(a, b, [str(x) for x in w])
             rows[(a, b)] = enumerate(coords)
     return StructureTensor(m, rows)
 

@@ -249,26 +249,36 @@ def _identify_derived2(c, der):
     return "A3.5", b, [to_ambient(g1), to_ambient(g2), e3]
 
 
+def _shell(dim, r, half):
+    """Integer vectors of sup norm r in lexicographic order; with `half`
+    only those whose first nonzero entry is positive.
+
+    Walks the shell's surface: a leading entry of absolute value r leaves
+    the rest of the vector free, any other leading entry needs the rest on
+    the (dim-1)-shell, which keeps the lexicographic order of the cube.
+    """
+    if dim == 1:
+        yield from ([(r,)] if half else [(-r,), (r,)])
+        return
+    for x in range(0 if half else -r, r + 1):
+        if abs(x) == r:
+            rest = iproduct(range(-r, r + 1), repeat=dim - 1)
+        else:
+            rest = _shell(dim - 1, r, half and x == 0)
+        for t in rest:
+            yield (x,) + t
+
+
 def _primitive_vectors(dim, limit):
-    """Primitive integer vectors by growing sup-norm shells.
+    """Primitive integer vectors (int tuples) by growing sup-norm shells.
 
     One representative per sign pair (first nonzero entry positive),
     lexicographic within a shell.  Deterministic.
     """
-    from math import gcd
     for r in range(1, limit + 1):
-        for v in iproduct(range(-r, r + 1), repeat=dim):
-            if max(abs(x) for x in v) != r:
-                continue
-            nz = next((x for x in v if x), 0)
-            if nz <= 0:
-                continue
-            g = 0
-            for x in v:
-                g = gcd(g, abs(x))
-            if g != 1:
-                continue
-            yield [Fraction(x) for x in v]
+        for v in _shell(dim, r, True):
+            if math.gcd(*v) == 1:
+                yield v
 
 
 def _sqrt_minus_one(p):
@@ -378,6 +388,23 @@ DEFINITE_SEARCH_BUDGET = 2_000_000
 _SQ_FILTERS = [(m, frozenset(i * i % m for i in range(m))) for m in (64, 63, 65)]
 
 
+def _square_root(t):
+    """s > 0 with s * s == t when the integer t is a nonzero square, else
+    None; most non-squares fall to the residue filters before the isqrt."""
+    if t <= 0 or any(t % mod not in sq for mod, sq in _SQ_FILTERS):
+        return None
+    s = math.isqrt(t)
+    return s if s * s == t else None
+
+
+def _integer_form(A):
+    """(D, (a, b, c, d, e, f)) for a symmetric rational 3x3 matrix A:
+    D x^t A x = a x0^2 + b x1^2 + c x2^2 + d x0 x1 + e x0 x2 + f x1 x2,
+    all six integers."""
+    D, M = linalg.integer_rows(A)
+    return D, (M[0][0], M[1][1], M[2][2], 2 * M[0][1], 2 * M[0][2], 2 * M[1][2])
+
+
 def _square_norm_vector(B):
     """(x, root) with B(x, x) = root^2 != 0, or None within the budget.
 
@@ -389,14 +416,8 @@ def _square_norm_vector(B):
     covers.
     """
     red = _reduce_gram(B)
-    A = linalg.mat_mul(linalg.mat_mul(red, B), linalg.transpose(red))
-    D = 1
-    for i in range(3):
-        for j in range(3):
-            D = D * A[i][j].denominator // math.gcd(D, A[i][j].denominator)
-    M = [[(A[i][j] * D).numerator for j in range(3)] for i in range(3)]
-    a, b, c = M[0][0], M[1][1], M[2][2]
-    d, e, f = 2 * M[0][1], 2 * M[0][2], 2 * M[1][2]
+    D, (a, b, c, d, e, f) = _integer_form(
+        linalg.mat_mul(linalg.mat_mul(red, B), linalg.transpose(red)))
     seen = 0
     r = 0
     while seen < DEFINITE_SEARCH_BUDGET:
@@ -413,11 +434,8 @@ def _square_norm_vector(B):
                     seen += 1
                     m = (a * x0 * x0 + b * x1 * x1 + c * x2 * x2
                          + d * x0 * x1 + e * x0 * x2 + f * x1 * x2)
-                    t = m * D
-                    if any(t % mod not in sq for mod, sq in _SQ_FILTERS):
-                        continue
-                    s = math.isqrt(t)
-                    if s * s != t:
+                    s = _square_root(m * D)
+                    if s is None:
                         continue
                     x = [x0 * red[0][i] + x1 * red[1][i] + x2 * red[2][i]
                          for i in range(3)]
@@ -426,6 +444,15 @@ def _square_norm_vector(B):
 
 
 def _identify_simple(c):
+    """sl2R or so3 by the Killing form's signature, with a rational frame.
+
+    The split sweep tests K(x, x)/2 on integers.  With K = M/D (M integer)
+    and q = x^t M x, K(x, x)/2 = q/(2D) is a nonzero rational square iff
+    the integer 2Dq is a nonzero square s^2, and then its root is s/(2D).
+    The sweep visits the same primitive vectors in the same order as a
+    Fraction test of each one would, so the first split vector, and with
+    it the witness, is the same; only the test of each vector is cheaper.
+    """
     kf = killing_form(c)
     K = kf["matrix"]
     sig = kf["signature"]
@@ -436,11 +463,14 @@ def _identify_simple(c):
     if sig == (2, 1, 0):
         # split element: K(x,x)/2 a nonzero square; its ad has rational
         # eigenvalues -c, 0, c
-        for x in _primitive_vectors(3, FRAME_SEARCH_LIMIT):
-            ok, croot = linalg.is_perfect_square(kform(x, x) / 2)
-            if not ok or croot == 0:
+        D, (a, b, cc, d, e, f) = _integer_form(K)
+        for x0, x1, x2 in _primitive_vectors(3, FRAME_SEARCH_LIMIT):
+            s = _square_root(2 * D * (a * x0 * x0 + b * x1 * x1 + cc * x2 * x2
+                                      + d * x0 * x1 + e * x0 * x2 + f * x1 * x2))
+            if s is None:
                 continue
-            h = [v / croot for v in x]
+            croot = Fraction(s, 2 * D)
+            h = [Fraction(v) / croot for v in (x0, x1, x2)]
             adh = ad_matrix(c, h)
             minus = linalg.nullspace([[adh[i][j] + (1 if i == j else 0)
                                        for j in range(3)] for i in range(3)])

@@ -228,6 +228,14 @@ def full_space(n):
     return Subspace(n, [linalg.e_k(n, i) for i in range(n)])
 
 
+def _numerators(c):
+    """(d, rows): d the common denominator of all coefficients of c, and its
+    stored rows with each coefficient multiplied by d (so integers)."""
+    d = math.lcm(*(q.denominator for row in c.rows.values() for _, q in row))
+    return d, {ij: tuple((k, q.numerator * (d // q.denominator)) for k, q in row)
+               for ij, row in c.rows.items()}
+
+
 def _adjoint_rows(rows):
     """{i: {m: row of [e_i, e_m]}} over the nonzero brackets, signs applied."""
     adj = {}
@@ -249,9 +257,7 @@ def validate_lie(c):
     are formed.  The arithmetic is on integer numerators over the common
     denominator d of all coefficients, so a residual is an integer over d^2.
     """
-    d = math.lcm(*(q.denominator for row in c.rows.values() for _, q in row))
-    num = {ij: tuple((k, q.numerator * (d // q.denominator)) for k, q in row)
-           for ij, row in c.rows.items()}
+    d, num = _numerators(c)
     adj = _adjoint_rows(num)
     acc = {}
     # the residual of i<j<k is [e_i,[e_j,e_k]] - [e_j,[e_i,e_k]] +
@@ -283,33 +289,22 @@ def require_lie(c):
     return c
 
 
-def as_basis_change(u, n):
-    """Coerce to an invertible n x n rational matrix; return (u, uinv)."""
-    if len(u) != n or any(len(row) != n for row in u):
-        raise InputFormatError("basis change must be %d x %d" % (n, n))
-    m = [[linalg.frac(x) for x in row] for row in u]
-    inv = linalg.inverse(m)
-    if inv is None:
-        raise InputFormatError("basis change matrix is singular")
-    return m, inv
-
-
-def transform_brackets(c, rows, back, zero):
+def transform_brackets(n, brackets, rows, back, zero):
     """Yield (i, j, w) for i < j: w holds the coordinates of [new_i, new_j]
-    in the new frame, where new_i = sum_p rows[i][p] old_p and the old
-    coordinate r maps to sum_k back[r][k] new_k.
+    in the new frame, where the old bracket is given by `brackets` (stored
+    rows in the StructureTensor layout), new_i = sum_p rows[i][p] old_p and
+    the old coordinate r maps to sum_k back[r][k] new_k.
 
-    The entries of rows and back may come from any commutative ring whose
-    zero is `zero` (Fraction, or LaurentPoly in contraction.py).
+    The entries may come from any commutative ring whose zero is `zero`
+    (int, or LaurentPoly in contraction.py).
     """
-    n = c.dim
     for i in range(n):
         ri = rows[i]
         for j in range(i + 1, n):
             rj = rows[j]
             # [new_i, new_j] in old coordinates
             v = [zero] * n
-            for (p, q), row in c.rows.items():
+            for (p, q), row in brackets.items():
                 f = ri[p] * rj[q] - ri[q] * rj[p]
                 if f:
                     for r, x in row:
@@ -319,10 +314,27 @@ def transform_brackets(c, rows, back, zero):
 
 
 def change_basis(c, u):
-    """Rewrite the bracket in the basis new_i = sum_p u[i][p] old_p."""
-    m, inv = as_basis_change(u, c.dim)
-    return StructureTensor(c.dim, {(i, j): enumerate(w) for i, j, w
-                                   in transform_brackets(c, m, inv, Fraction(0))})
+    """Rewrite the bracket in the basis new_i = sum_p u[i][p] old_p.
+
+    The arithmetic is on integers.  With u = U/du and the coefficients
+    N/dc (U and N integer, du and dc their common denominators), u^-1 is
+    du adj(U)/det U, so every new coefficient is an integer bilinear
+    expression in U, N and adj(U) over the one denominator du*dc*det U.
+    One fraction-free elimination gives det U and adj U; a Fraction is
+    made only for each nonzero output coefficient.
+    """
+    n = c.dim
+    if len(u) != n or any(len(row) != n for row in u):
+        raise InputFormatError("basis change must be %d x %d" % (n, n))
+    du, U = linalg.integer_rows([[linalg.frac(x) for x in row] for row in u])
+    det, adj = linalg.adjugate(U)
+    if not det:
+        raise InputFormatError("basis change matrix is singular")
+    dc, num = _numerators(c)
+    den = du * dc * det
+    return StructureTensor(n, {
+        (i, j): [(k, Fraction(x, den)) for k, x in enumerate(w) if x]
+        for i, j, w in transform_brackets(n, num, U, adj, 0)})
 
 
 def compose_changes(u, v):
@@ -380,7 +392,14 @@ def nilpotency_degree(c):
 
 
 def derived_subalgebra(c):
-    return span_of_brackets(c, full_space(c.dim), full_space(c.dim))
+    """[g, g]: the span of the stored brackets [e_i, e_j], i < j."""
+    vecs = []
+    for row in c.rows.values():
+        v = [0] * c.dim
+        for k, q in row:
+            v[k] = q
+        vecs.append(v)
+    return Subspace(c.dim, vecs)
 
 
 def center(c):

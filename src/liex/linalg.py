@@ -5,6 +5,7 @@ floats anywhere: ranks, nullspaces and signatures must be exact, since the
 classifier downstream branches on them.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -113,6 +114,42 @@ def rank(rows):
                 basis.append((row, p))
                 break
     return len(basis)
+
+
+def integer_rows(m):
+    """(d, rows): d the least common denominator of the entries of m (ints
+    or Fractions), and rows the integer matrix d*m."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
+
+
+def adjugate(m):
+    """(det m, adj m) of a square integer matrix, or (0, None) if singular.
+
+    Fraction-free Gauss-Jordan elimination of [m | I] (Bareiss, Math. Comp.
+    22, 1968): every row other than the pivot row becomes (p*row - f*pivot
+    row) / (previous pivot), an exact integer division, since each entry is
+    a minor of the augmented matrix.  The left block ends as d*I and the
+    right block as d*m^-1 with d the determinant of the row-swapped matrix.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if a[i][k]), None)
+        if pr is None:
+            return 0, None
+        if pr != k:
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        ak = a[k]
+        p = ak[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], ak)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def nullspace(rows, ncols=None):

@@ -26,8 +26,9 @@ from itertools import combinations
 from . import linalg
 from .errors import (InputFormatError, LiexError, ParameterNotRationalError,
                      RationalFormError)
-from .expansion import (ResonanceSpec, extract_subalgebra, resonant_span,
-                        s_expand, split_index, validate_resonance, zero_reduce)
+from .expansion import (ResonanceSpec, coordinate_brackets, extract_subalgebra,
+                        resonant_span, s_expand, split_index, validate_resonance,
+                        zero_reduce)
 from .identify import identify3
 from .liealg import (StructureTensor, Subspace, catalog, change_basis, parse_label,
                      resolve_algebra)
@@ -108,9 +109,6 @@ def semigroup_inventory(max_order):
 DD_BY_LABEL = {"3A1": 0, "A2.1+A1": 1, "A3.1": 1, "A3.2": 2, "A3.3": 2,
                "A3.4": 2, "A3.5": 2, "sl2R": 3, "so3": 3}
 
-_ZERO3 = StructureTensor(3, {})
-
-
 @lru_cache(maxsize=None)
 def _identify_or_none(c):
     try:
@@ -137,7 +135,9 @@ def scan_3dim_subalgebras(ambient):
     constants.  Returns (records, triples_examined); each record is
     (generators, derived_dim, tensor) with generators the unit coordinate
     vectors and the tensor written in that basis (which is also the span's
-    echelon basis, so classifier witnesses apply to it directly).
+    echelon basis, so classifier witnesses apply to it directly).  Many
+    triples carry the same coefficient block, so each distinct block is
+    ranked and built once per call.
     """
     d = ambient.dim
     units = []
@@ -145,24 +145,24 @@ def scan_3dim_subalgebras(ambient):
         v = [0] * d
         v[i] = 1
         units.append(tuple(v))
-    coeffs = {ij: dict(row) for ij, row in ambient.rows.items()}
-    supp = {ij: sum(1 << k for k in row) for ij, row in coeffs.items()}
+    supp = {ij: sum(1 << k for k, _ in row) for ij, row in ambient.rows.items()}
+    blocks = {}
     records = []
     examined = 0
-    for a, b, c in combinations(range(d), 3):
+    for idx in combinations(range(d), 3):
+        a, b, c = idx
         examined += 1
         mask = (1 << a) | (1 << b) | (1 << c)
         if (supp.get((a, b), 0) | supp.get((a, c), 0) | supp.get((b, c), 0)) & ~mask:
             continue
-        gens = (units[a], units[b], units[c])
-        rows = [[coeffs.get(pq, {}).get(t, 0) for t in (a, b, c)]
-                for pq in ((a, b), (a, c), (b, c))]
-        if not any(any(r) for r in rows):
-            records.append((gens, 0, _ZERO3))
-            continue
-        c3 = StructureTensor(3, {ij: enumerate(co) for ij, co
-                                 in zip(((0, 1), (0, 2), (1, 2)), rows)})
-        records.append((gens, linalg.rank(rows), c3))
+        rows = coordinate_brackets(ambient, idx)
+        key = tuple(rows.items())
+        block = blocks.get(key)
+        if block is None:
+            dense = [[dict(rows.get(pq, ())).get(t, 0) for t in range(3)]
+                     for pq in ((0, 1), (0, 2), (1, 2))]
+            block = blocks[key] = (linalg.rank(dense), StructureTensor(3, rows))
+        records.append(((units[a], units[b], units[c]),) + block)
     return tuple(records), examined
 
 
