@@ -12,6 +12,9 @@ out-of-range parameters, enumeration bound exceeded), 2 domain errors
 span, divergent limit, no rational witness) with a JSON error envelope
 {"error": {"code", "message", "witness"?}} on stdout.
 
+Stdout is byte for byte json.dumps(obj, indent=2) plus a newline, written
+by jsonout.write_json.
+
 The environment variable LIEX_MAX_ORDER caps semigroup enumeration and
 search order (default 4).  --seed is accepted for interface stability;
 every computation here is deterministic and the value is ignored.
@@ -28,6 +31,7 @@ from .contraction import (BUILTIN_FAMILIES, Divergent, LaurentBasisFamily,
 from .errors import InputFormatError, LiexError
 from .expansion import extract_subalgebra, parse_span, s_expand, zero_reduce
 from .identify import CARTAN_DIMENSION, identify3, signature
+from .jsonout import write_json
 from .liealg import CATALOG_NAMES, StructureTensor, resolve_algebra, validate_lie
 from .search import (connectivity_matrix, connectivity_to_dot,
                      connectivity_to_json, find_connection)
@@ -48,8 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    write = sys.stdout.write
+    write_json(obj, write)
+    write("\n")
 
 
 def _read_json(path):

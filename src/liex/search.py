@@ -26,14 +26,14 @@ from itertools import combinations
 from . import linalg
 from .errors import (InputFormatError, LiexError, ParameterNotRationalError,
                      RationalFormError)
-from .expansion import (ResonanceSpec, coordinate_brackets, extract_subalgebra,
-                        resonant_span, s_expand, split_index, validate_resonance,
-                        zero_reduce)
+from .expansion import (ResonanceSpec, _expand, coordinate_brackets,
+                        extract_subalgebra, require_semigroup, resonant_span,
+                        s_expand, split_index, validate_resonance, zero_reduce)
 from .identify import identify3
 from .liealg import (StructureTensor, Subspace, catalog, change_basis, parse_label,
-                     resolve_algebra)
-from .semigroup import (S2, S3, enumerate_abelian_semigroups, semigroups_isomorphic,
-                        zero_element)
+                     require_lie, resolve_algebra)
+from .semigroup import (S2, S3, SemigroupTable, enumerate_abelian_semigroups,
+                        semigroups_isomorphic, zero_element)
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,41 @@ class Witness:
     param: object
     basis_change: tuple
 
-    def to_json(self):
-        d = {"semigroup": self.semigroup.to_json(), "mode": self.mode,
-             "label": self.label}
+    def to_json(self, shared=None):
+        """JSON form.  Calls that pass one `shared` dict build each
+        semigroup and basis change object, and each span vector value,
+        once and reuse that JSON object, so treat the result as read-only."""
+        if shared is None:
+            shared = {}
+        d = {"semigroup": _part(shared, id(self.semigroup), self.semigroup,
+                                SemigroupTable.to_json),
+             "mode": self.mode, "label": self.label}
         if self.semigroup_name:
             d["semigroup_name"] = self.semigroup_name
         if self.param is not None:
             d["param"] = str(self.param)
         if self.span is not None:
-            d["span"] = [[str(x) for x in v] for v in self.span]
+            d["span"] = [_part(shared, v, v, _strings) for v in self.span]
         if self.resonance is not None:
             d["resonance"] = self.resonance
-        d["basis_change"] = [[str(x) for x in row] for row in self.basis_change]
+        d["basis_change"] = _part(shared, id(self.basis_change), self.basis_change,
+                                  lambda m: [_strings(row) for row in m])
         return d
+
+
+def _strings(v):
+    return [str(x) for x in v]
+
+
+def _part(shared, key, obj, build):
+    """build(obj), made once per key.  Semigroups and basis changes are
+    keyed by id, since the inventory and the classifier cache hand out the
+    same objects again, and the stored obj keeps its id from being reused.
+    Span vectors, tuples made per scan, are keyed by value."""
+    got = shared.get(key)
+    if got is None:
+        got = shared[key] = (obj, build(obj))
+    return got[1]
 
 
 @dataclass(frozen=True)
@@ -80,7 +102,8 @@ class SearchResult:
         return bool(self.witnesses)
 
     def to_json(self):
-        return {"witnesses": [w.to_json() for w in self.witnesses],
+        shared = {}
+        return {"witnesses": [w.to_json(shared) for w in self.witnesses],
                 "space": self.space, "max_order": self.max_order,
                 "modes": list(self.modes), "found": self.found()}
 
@@ -90,7 +113,8 @@ def semigroup_inventory(max_order):
     """One semigroup per isomorphism class up to max_order, with built-in
     relabelings substituted so witnesses come out in the familiar
     coordinates.  max_order is also the enumeration bound, so callers cap
-    the order themselves (the CLI through LIEX_MAX_ORDER)."""
+    the order themselves (the CLI through LIEX_MAX_ORDER).  Every table
+    is validated here once, so searches expand it unchecked."""
     out = []
     for order in range(1, max_order + 1):
         for s in enumerate_abelian_semigroups(order, up_to_isomorphism=True,
@@ -100,7 +124,7 @@ def semigroup_inventory(max_order):
                 if b.order == order and semigroups_isomorphic(s, b) is not None:
                     s, name = b, bname
                     break
-            out.append((s, name))
+            out.append((require_semigroup(s), name))
     return tuple(out)
 
 
@@ -238,6 +262,7 @@ def _search(source, max_order, modes, wants):
     space counts, which do not depend on `wants`.
     """
     dds = {DD_BY_LABEL[name] for name, _ in wants}
+    require_lie(source)
     witnesses = []
     space = {"semigroups": 0}
     for m in modes:
@@ -259,20 +284,23 @@ def _search(source, max_order, modes, wants):
             if dd in dds:
                 record(gt, s, sname, mode, gens, None)
 
+    # the source is checked once above and the inventory when it is built,
+    # so expansions skip s_expand's and zero_reduce's input checks
     for s, sname in semigroup_inventory(max_order):
         space["semigroups"] += 1
+        elems = range(1, s.order + 1)
         expanded = None
         if "subalgebra" in modes:
-            expanded = s_expand(s, source)
+            expanded = _expand(s, source, elems)
             match_spans(expanded, s, sname, "subalgebra")
-        if "zero_reduce" in modes and zero_element(s) is not None:
-            reduced = zero_reduce(s, source)
+        if "zero_reduce" in modes and (z := zero_element(s)) is not None:
+            reduced = _expand(s, source, [a for a in elems if a != z])
             if reduced.dim >= 3:
                 match_spans(reduced, s, sname, "zero_reduce")
         if "resonant" in modes and s.order <= RESONANT_ORDER_BOUND:
             space["resonant_candidates"] += _decompositions(source.dim, s.order)
             if expanded is None:
-                expanded = s_expand(s, source)
+                expanded = _expand(s, source, elems)
             for gens, dd, gt in scan_3dim_subalgebras(expanded)[0]:
                 if dd in dds:
                     meta = _coarsest_decomposition(s, source, gens)
@@ -376,6 +404,7 @@ def connectivity_matrix(labels, max_order=2, modes=("subalgebra",)):
     keys = {lab: _target_key(lab) for lab in labels}
     wants = set(keys.values())
     edges = {}
+    shared = {}
     for src in labels:
         witnesses, space = _search(tensors[src], max_order, modes, wants)
         first = {}
@@ -385,7 +414,7 @@ def connectivity_matrix(labels, max_order=2, modes=("subalgebra",)):
             w = first.get(keys[dst])
             entry = {"found": w is not None, "space": dict(space)}
             if w is not None:
-                entry["witness"] = w.to_json()
+                entry["witness"] = w.to_json(shared)
             edges[(src, dst)] = entry
     return {"labels": list(labels), "max_order": max_order,
             "modes": list(modes), "edges": edges}

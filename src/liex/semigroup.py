@@ -42,6 +42,16 @@ def _orbit(table):
             for perm in permutations(range(1, len(table) + 1))}
 
 
+def _echo(x):
+    """A refused table entry as printable JSON: values JSON cannot hold
+    exactly, floats among them, become their repr."""
+    if isinstance(x, list):
+        return [_echo(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _echo(v) for k, v in x.items()}
+    return x if x is None or type(x) in (str, int, bool) else repr(x)
+
+
 class SemigroupTable:
     __slots__ = ("order", "table")
 
@@ -61,7 +71,7 @@ class SemigroupTable:
                 if not isinstance(x, int) or isinstance(x, bool) or not (1 <= x <= n):
                     raise InputFormatError(
                         "table entries must be integers in 1..%d" % n,
-                        witness={"entry": x})
+                        witness={"entry": _echo(x)})
             tab.append(tuple(row))
         self.order = n
         self.table = tuple(tab)
@@ -151,12 +161,13 @@ def require_zero(s):
     return z
 
 
-def canonical_form(s):
+def canonical_form(s, orbit=None):
     """Lexicographically least table over all relabelings.
 
     Deterministic representative of the isomorphism class; idempotent.
+    orbit, when given, is _orbit(s.table), already built by the caller.
     """
-    return SemigroupTable(min(_orbit(s.table)))
+    return SemigroupTable(min(_orbit(s.table) if orbit is None else orbit))
 
 
 def semigroups_isomorphic(a, b):
@@ -184,8 +195,9 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
 
     With up_to_isomorphism, one representative per relabeling orbit, the
     canonical form.  The labelled DFS yields every table of each orbit, so
-    the first table met of an orbit adds the whole orbit to a seen set, the
-    later ones are skipped, and canonical_form runs once per class.
+    the first table met of an orbit adds the whole orbit to a seen set and
+    takes its canonical form from that same orbit, and the later ones are
+    skipped.
     """
     if order < 1:
         raise InputFormatError("order must be positive")
@@ -244,8 +256,9 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
         reps = []
         for s in out:
             if s.table not in seen:
-                seen |= _orbit(s.table)
-                reps.append(canonical_form(s).table)
+                orbit = _orbit(s.table)
+                seen |= orbit
+                reps.append(canonical_form(s, orbit).table)
         out = [SemigroupTable(tab) for tab in sorted(reps)]
     else:
         out.sort(key=lambda s: s.table)

@@ -348,6 +348,48 @@ def test_graph_all3_stdout_is_pinned(capsys, modes):
     assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_ALL3_SHA256[modes]
 
 
+# sha256 of stdout, with the exit code, for one command of each output
+# shape: a search in each mode and an order-4 one, both enumerations, a
+# tensor and a domain-error envelope.  Taken from the json.dump writer the
+# CLI used before it wrote its own JSON, so that writer's bytes are kept.
+STDOUT_SHA256 = {
+    "search --from sl2R --to A2.1+A1 --max-order 3 --modes subalgebra":
+        (0, "369669eb3d42be47c18221b6c8814b317ab6003b88ed38a9d1b9d9d48a4b52a7"),
+    "search --from sl2R --to A3.1 --max-order 3 --modes zero_reduce":
+        (0, "fdecbbacd7561650d115b2ed33380f157ee1d836ae7a8748cc02f78a266390a3"),
+    "search --from sl2R --to A2.1+A1 --max-order 3 --modes resonant":
+        (0, "1e0c273f221a30c5b29b09ad957b5ade2956270acb673912a74452d4017ab65c"),
+    "search --from sl2R --to A2.1+A1 --max-order 4 --modes subalgebra,zero_reduce":
+        (0, "81db59efc1b40375076027bc31288011bacc3b92491458382da9a63edec287e4"),
+    "enumerate-semigroups --order 4":
+        (0, "4314dbefc66ce9fb583b308b2bf03735a63be804d849af21b96667f3052e7c64"),
+    "enumerate-semigroups --order 4 --labelled":
+        (0, "4044053b457616ad0c34aa0326440808cf89b273d7e6b014d9bb6dc0a273d4c1"),
+    "catalog sl2R":
+        (0, "42c67b533010b83e8b3ef08a7db3fd317310602459d3f053df4d6f99c9f68c15"),
+    "subalgebra --algebra sl2R --span E1,E3":
+        (2, "85dccbb25153d61407f5228b62a0ad4cccc772bd3aeb88c49f915f547b670f3c"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+def test_stdout_is_pinned(capsys, command):
+    code, out = run(capsys, command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_SHA256[command]
+
+
+def test_refused_float_entry_is_echoed_as_text(capsys, tmp_path):
+    # JSON floats are refused, and the writer prints none: the offending
+    # entry comes back as its repr
+    table = tmp_path / "semigroup.json"
+    table.write_text(json.dumps({"table": [[1.5]]}))
+    code, out = run_json(capsys, ["validate", "--semigroup", str(table)])
+    assert code == 1 and out["error"]["witness"] == {"entry": "1.5"}
+    table.write_text(json.dumps({"table": [[2, [1.0, "x"]], [2, 2]]}))
+    code, out = run_json(capsys, ["validate", "--semigroup", str(table)])
+    assert code == 1 and out["error"]["witness"] == {"entry": ["1.0", "x"]}
+
+
 def test_graph_dot_output(capsys, tmp_path):
     target = tmp_path / "graph.dot"
     code, out = run(capsys, ["graph", "--labels", "sl2R,A2.1+A1",

@@ -12,11 +12,12 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from liex import linalg, search
-from liex.errors import InputFormatError
+from liex import expansion, linalg, search
+from liex.errors import InputFormatError, NotALieAlgebraError
 from liex.expansion import (ResonanceSpec, extract_subalgebra, resonant_span,
                             s_expand, split_index, validate_resonance)
-from liex.liealg import Subspace, bracket, catalog, change_basis, resolve_algebra
+from liex.liealg import (StructureTensor, Subspace, bracket, catalog, change_basis,
+                         resolve_algebra)
 from liex.search import (
     DD_BY_LABEL,
     SearchResult,
@@ -349,6 +350,21 @@ def test_witness_json_shape():
     assert all(isinstance(x, str) for row in first["basis_change"] for x in row)
 
 
+def test_witness_json_builds_repeated_parts_once():
+    res = find_connection(catalog("sl2R"), "A2.1+A1", max_order=3)
+    blob = res.to_json()["witnesses"]
+    assert blob == [w.to_json() for w in res.witnesses]
+    semigroups, changes, vectors = {}, {}, {}
+    for w, wj in zip(res.witnesses, blob):
+        assert semigroups.setdefault(id(w.semigroup), wj["semigroup"]) \
+            is wj["semigroup"]
+        assert changes.setdefault(id(w.basis_change), wj["basis_change"]) \
+            is wj["basis_change"]
+        for v in wj["span"]:
+            assert vectors.setdefault(tuple(v), v) is v
+    assert len(semigroups) < len(blob) and len(changes) < len(blob)
+
+
 def test_search_input_guards():
     with pytest.raises(InputFormatError):
         find_connection(catalog("sl2R"), "A2.1+A1", modes=("bogus",))
@@ -413,13 +429,14 @@ def test_connectivity_matches_per_edge_search():
 def test_one_expansion_per_source_and_semigroup(monkeypatch):
     n3 = len(semigroup_inventory(3))
     calls = []
-    real = search.s_expand
+    real = search._expand
 
-    def counting(s, c):
-        calls.append((s, c))
-        return real(s, c)
+    def counting(s, c, elems):
+        if len(elems) == s.order:       # a full expansion, not a reduction
+            calls.append((s, c))
+        return real(s, c, elems)
 
-    monkeypatch.setattr(search, "s_expand", counting)
+    monkeypatch.setattr(search, "_expand", counting)
     connectivity_matrix(["sl2R", "A3.3", "so3"], max_order=3,
                         modes=("subalgebra", "zero_reduce"))
     assert len(calls) == 3 * n3
@@ -430,6 +447,33 @@ def test_one_expansion_per_source_and_semigroup(monkeypatch):
     calls.clear()
     find_connection(catalog("sl2R"), "A3.3", max_order=2, modes=ALL_MODES)
     assert len(calls) == len(semigroup_inventory(2))
+
+
+def test_search_checks_its_inputs_once(monkeypatch):
+    semigroup_inventory(3)          # each table is validated as it is built
+    checks = []
+    real_sg, real_lie = expansion.validate_semigroup, search.require_lie
+
+    def counting_sg(s):
+        checks.append("semigroup")
+        return real_sg(s)
+
+    def counting_lie(c):
+        checks.append("source")
+        return real_lie(c)
+
+    monkeypatch.setattr(expansion, "validate_semigroup", counting_sg)
+    monkeypatch.setattr(search, "require_lie", counting_lie)
+    res = find_connection(catalog("sl2R"), "A3.3", max_order=3,
+                          modes=("subalgebra", "zero_reduce"))
+    assert res.space["semigroups"] == 16 and checks == ["source"]
+    bad = StructureTensor.from_brackets(
+        3, {(1, 2): {1: 1}, (1, 3): {1: 1}, (2, 3): {2: 1, 3: 1}})
+    with pytest.raises(NotALieAlgebraError):
+        find_connection(bad, "A3.3", max_order=2)
+    # the public entry points still check what they are given
+    with pytest.raises(NotALieAlgebraError):
+        s_expand(semigroup_inventory(2)[1][0], bad)
 
 
 def test_connectivity_report_formats():

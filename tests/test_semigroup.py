@@ -156,18 +156,26 @@ def test_counts_match_oeis():
 
 def test_one_canonical_form_per_class(monkeypatch):
     calls = []
-    real = semigroup.canonical_form
+    orbits = []
+    real, real_orbit = semigroup.canonical_form, semigroup._orbit
 
-    def counting(s):
+    def counting(s, orbit=None):
         calls.append(s)
-        return real(s)
+        return real(s, orbit)
+
+    def counting_orbit(table):
+        orbits.append(table)
+        return real_orbit(table)
 
     monkeypatch.setattr(semigroup, "canonical_form", counting)
+    monkeypatch.setattr(semigroup, "_orbit", counting_orbit)
     reps = enumerate_abelian_semigroups(4)
-    assert len(reps) == len(calls) == 58
+    # one orbit per class, shared by the seen set and the canonical form
+    assert len(reps) == len(calls) == len(orbits) == 58
     calls.clear()
+    orbits.clear()
     enumerate_abelian_semigroups(4, up_to_isomorphism=False)
-    assert calls == []
+    assert calls == [] and orbits == []
 
 
 def test_relabeling_invariants():
