@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 malformed input (bad JSON, unknown names,
 out-of-range parameters, enumeration bound exceeded), 2 domain errors
 (failed validation used as a precondition, no zero element, non-closed
 span, divergent limit, no rational witness) with a JSON error envelope
-{"error": {"code", "message", "witness"?}} on stdout.
+{"error": {"code", "message", "witness"?}} on stdout, 141 (the shell's
+status for SIGPIPE) when the reader of stdout closes it early, with
+nothing on stderr.
 
 Stdout is byte for byte json.dumps(obj, indent=2) plus a newline, written
 by jsonout.write_json.
@@ -367,7 +369,7 @@ def build_parser():
     return p
 
 
-def main(argv=None):
+def _run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
@@ -381,6 +383,20 @@ def main(argv=None):
     except LiexError as e:
         _emit({"error": e.payload()})
         return 2
+
+
+def main(argv=None):
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (liex ... | head).  What is still
+        # buffered goes to devnull, so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

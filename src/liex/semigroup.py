@@ -161,13 +161,12 @@ def require_zero(s):
     return z
 
 
-def canonical_form(s, orbit=None):
+def canonical_form(s):
     """Lexicographically least table over all relabelings.
 
     Deterministic representative of the isomorphism class; idempotent.
-    orbit, when given, is _orbit(s.table), already built by the caller.
     """
-    return SemigroupTable(min(_orbit(s.table) if orbit is None else orbit))
+    return SemigroupTable(min(_orbit(s.table)))
 
 
 def semigroups_isomorphic(a, b):
@@ -187,17 +186,24 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
                                  max_order=DEFAULT_MAX_ORDER):
     """All Abelian semigroup tables of the given order, sorted.
 
-    A DFS fills the upper triangle cell by cell.  After each assignment it
-    checks associativity only on the triples (a, b, c) that one of their
-    four lookups ab, bc, (ab)c, a(bc) ties to the new cell: any other
-    triple with all four lookups assigned was checked when its last cell
-    was filled.  The complete check still runs once per filled table.
+    A DFS fills the upper triangle cell by cell in row-major order, trying
+    the values 1..n in turn.  The table is kept symmetric, so the filled
+    cells are always a row-major prefix of the full table and the leaves
+    come out in lexicographic order.  After each assignment it checks
+    associativity only on the triples (a, b, c) that one of their four
+    lookups ab, bc, (ab)c, a(bc) ties to the new cell: any other triple
+    with all four lookups assigned was checked when its last cell was
+    filled.  The complete check still runs once per returned table.
 
     With up_to_isomorphism, one representative per relabeling orbit, the
-    canonical form.  The labelled DFS yields every table of each orbit, so
-    the first table met of an orbit adds the whole orbit to a seen set and
-    takes its canonical form from that same orbit, and the later ones are
-    skipped.
+    canonical form, by lex-leader pruning (orderly generation; McKay,
+    J. Algorithms 26 (1998) 306).  A relabeling p of a partial table T is
+    known cell by cell in row-major order as long as the preimage cells are
+    filled.  If p(T) is smaller than T at the first cell where they differ,
+    no completion of T is the least of its orbit and the branch is cut; if
+    it is larger, p cuts nothing below.  The leaves are then exactly the
+    canonical forms, each met once, and each is checked against
+    canonical_form once.
     """
     if order < 1:
         raise InputFormatError("order must be positive")
@@ -206,62 +212,113 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
             "order %d exceeds the enumeration bound %d" % (order, max_order))
     n = order
     cells = [(a, b) for a in range(n) for b in range(a, n)]
+    step = {}
+    for k, (a, b) in enumerate(cells):
+        step[a, b] = step[b, a] = k
     t = [[0] * n for _ in range(n)]  # 0 = unassigned
+    # filled[k]: each ordered pair (p, q) whose cell is filled once step k
+    # is, as (row p, q, row q)
+    filled = [[(t[p], q, t[q]) for p in range(n) for q in range(n)
+               if step[p, q] <= k] for k in range(len(cells))]
 
-    def assoc_ok(x, y, z):
-        xy = t[x][y]
-        yz = t[y][z]
-        if not xy or not yz:
-            return True
-        left = t[xy - 1][z]
-        right = t[x][yz - 1]
-        return not left or not right or left == right
-
-    def assoc_ok_at(a, b):
+    def assoc_ok_at(k, v):
         # The table stays symmetric, so (x, y, z) and (z, y, x) are one
-        # check: their two sides swap.  Triples with the cell as their ab
-        # or bc lookup are then (a, b, z) and (b, a, z); triples with it as
-        # their (ab)c or a(bc) lookup are (p, q, b) with pq = a and
-        # (p, q, a) with pq = b.
+        # check: their two sides swap.  Triples with the new cell (a, b)
+        # as their ab or bc lookup are then (a, b, z) and (b, a, z), both
+        # with (ab)z = vz on the left.  Triples with it as their (ab)c or
+        # a(bc) lookup are (p, q, b) with pq = a and (p, q, a) with pq = b,
+        # both with v on the left, and need pq filled.  A side that meets
+        # an empty cell waits for a later step.
+        a, b = cells[k]
+        ra, rb, rv = t[a], t[b], t[v - 1]
         for z in range(n):
-            if not (assoc_ok(a, b, z) and assoc_ok(b, a, z)):
-                return False
-        for p in range(n):
-            for q in range(n):
-                v = t[p][q] - 1
-                if v == a and not assoc_ok(p, q, b):
-                    return False
-                if v == b and not assoc_ok(p, q, a):
+            left = rv[z]
+            if left:
+                bz = rb[z]
+                if bz:
+                    right = ra[bz - 1]
+                    if right and right != left:
+                        return False
+                az = ra[z]
+                if az:
+                    right = rb[az - 1]
+                    if right and right != left:
+                        return False
+        a1, b1 = a + 1, b + 1
+        for rp, q, rq in filled[k]:
+            w = rp[q]
+            if w == a1:
+                yz = rq[b]
+            elif w == b1:
+                yz = rq[a]
+            else:
+                continue
+            if yz:
+                right = rp[yz - 1]
+                if right and right != v:
                     return False
         return True
 
+    def lex_step(k, live):
+        # live: (pm, walk, i) per relabeling p not yet known to exceed T on
+        # every completion, equal to T on the first i cells of walk.  pm
+        # maps a 1-based value to its image, pm[0] = 0.  Below the diagonal
+        # both tables mirror cells already compared.  None prunes.
+        kept = []
+        for pm, walk, i in live:
+            for i in range(i, len(walk)):
+                need, row, b, prow, pb = walk[i]
+                if need > k:
+                    kept.append((pm, walk, i))
+                    break
+                x = pm[prow[pb]]
+                y = row[b]
+                if x != y:
+                    if x < y:
+                        return None
+                    break
+            else:
+                kept.append((pm, walk, len(walk)))
+        return kept
+
+    # Labelled, no relabeling is compared and lex_step prunes nothing.
+    live = []
+    if up_to_isomorphism:
+        for perm in permutations(range(n)):
+            if perm == tuple(range(n)):
+                continue
+            inv = [0] * n
+            for x, px in enumerate(perm):
+                inv[px] = x
+            # p(T) at cell (a, b) is p(T[inv a][inv b])
+            walk = tuple((max(k, step[inv[a], inv[b]]), t[a], b,
+                          t[inv[a]], inv[b])
+                         for k, (a, b) in enumerate(cells))
+            live.append(((0,) + tuple(x + 1 for x in perm), walk, 0))
+
     out = []
+    last = len(cells) - 1
 
-    def fill(idx):
-        if idx == len(cells):
-            out.append(SemigroupTable([row[:] for row in t]))
-            return
-        a, b = cells[idx]
+    def fill(k, live):
+        a, b = cells[k]
+        ra, rb = t[a], t[b]
         for v in range(1, n + 1):
-            t[a][b] = t[b][a] = v
-            if assoc_ok_at(a, b):
-                fill(idx + 1)
-        t[a][b] = t[b][a] = 0
+            ra[b] = rb[a] = v
+            if not assoc_ok_at(k, v):
+                continue
+            kept = lex_step(k, live)
+            if kept is None:
+                continue
+            if k == last:
+                out.append(SemigroupTable(t))
+            else:
+                fill(k + 1, kept)
+        ra[b] = rb[a] = 0
 
-    fill(0)
+    fill(0, live)
     for s in out:
         assert validate_semigroup(s)["ok"]
-    if up_to_isomorphism:
-        seen = set()
-        reps = []
-        for s in out:
-            if s.table not in seen:
-                orbit = _orbit(s.table)
-                seen |= orbit
-                reps.append(canonical_form(s, orbit).table)
-        out = [SemigroupTable(tab) for tab in sorted(reps)]
-    else:
-        out.sort(key=lambda s: s.table)
+        assert not up_to_isomorphism or canonical_form(s) == s
     return out
 
 

@@ -8,6 +8,8 @@ prove the formats agree.
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -388,6 +390,20 @@ def test_refused_float_entry_is_echoed_as_text(capsys, tmp_path):
     table.write_text(json.dumps({"table": [[2, [1.0, "x"]], [2, 2]]}))
     code, out = run_json(capsys, ["validate", "--semigroup", str(table)])
     assert code == 1 and out["error"]["witness"] == {"entry": ["1.0", "x"]}
+
+
+def test_closed_pipe_exits_141_quietly():
+    # liex ... | head: the reader takes 100 bytes of about 287k and closes
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-m", "liex", "enumerate-semigroups", "--order",
+             "4", "--labelled"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_graph_dot_output(capsys, tmp_path):

@@ -159,9 +159,9 @@ def test_one_canonical_form_per_class(monkeypatch):
     orbits = []
     real, real_orbit = semigroup.canonical_form, semigroup._orbit
 
-    def counting(s, orbit=None):
+    def counting(s):
         calls.append(s)
-        return real(s, orbit)
+        return real(s)
 
     def counting_orbit(table):
         orbits.append(table)
@@ -170,12 +170,24 @@ def test_one_canonical_form_per_class(monkeypatch):
     monkeypatch.setattr(semigroup, "canonical_form", counting)
     monkeypatch.setattr(semigroup, "_orbit", counting_orbit)
     reps = enumerate_abelian_semigroups(4)
-    # one orbit per class, shared by the seen set and the canonical form
+    # one canonical form check, so one orbit, per emitted class
     assert len(reps) == len(calls) == len(orbits) == 58
     calls.clear()
     orbits.clear()
     enumerate_abelian_semigroups(4, up_to_isomorphism=False)
     assert calls == [] and orbits == []
+
+
+def test_orbit_sizes_add_up_to_labelled_counts():
+    # n!/|Aut(s)| labelled tables per class: a class the pruning dropped,
+    # or one met twice, breaks the sum
+    for order, labelled in ((1, 1), (2, 6), (3, 63), (4, 1140), (5, 30730)):
+        perms = list(permutations(range(1, order + 1)))
+        total = 0
+        for s in enumerate_abelian_semigroups(order, max_order=5):
+            aut = sum(semigroup._relabel(s.table, p) == s.table for p in perms)
+            total += len(perms) // aut
+        assert total == labelled
 
 
 def test_relabeling_invariants():
