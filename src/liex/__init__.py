@@ -9,10 +9,9 @@ verified change of basis onto the canonical form of each class.
 from .contraction import (BUILTIN_FAMILIES, Divergent, LaurentBasisFamily,
                           LaurentPoly, U_FE, limit, resolve_family,
                           transform_parametric, verify_contraction)
-from .errors import (DivergentLimit, InputFormatError, LiexError,
-                     NoZeroElementError, NotALieAlgebraError,
-                     NotASemigroupError, NotASubalgebraError,
-                     NotReducibleError, NotResonantError,
+from .errors import (InputFormatError, LiexError, NoZeroElementError,
+                     NotALieAlgebraError, NotASemigroupError,
+                     NotASubalgebraError, NotReducibleError, NotResonantError,
                      ParameterNotRationalError, RationalFormError)
 from .expansion import (ResonanceSpec, extract_subalgebra, flat_index,
                         parse_span, reduce_decomposition, resonant_reduction,

@@ -77,13 +77,6 @@ class RationalFormError(LiexError):
     code = "no_rational_witness"
 
 
-class DivergentLimit(LiexError):
-    """Contraction limit does not exist: some structure coefficient has a
-    pole at the limit point.  First-class result, not only an exception."""
-
-    code = "divergent_limit"
-
-
 class InputFormatError(LiexError):
     """Malformed user input (bad JSON shape, unknown name, out-of-range
     parameter).  CLI maps this to exit code 1."""

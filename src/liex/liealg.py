@@ -35,7 +35,7 @@ MAX_JSON_DIM = 64
 
 
 class StructureTensor:
-    __slots__ = ("dim", "rows", "_hash")
+    __slots__ = ("dim", "rows", "_hash", "_num")
 
     def __init__(self, dim, rows):
         """rows maps 0-based pairs (i, j), i < j, to iterables of (k, coeff).
@@ -43,7 +43,8 @@ class StructureTensor:
         Zero coefficients and empty rows are dropped and each row is sorted
         by k, so equal tensors store equal rows.  Indices are trusted: input
         from outside the program goes through from_brackets.  A tensor is
-        never modified after construction, which lets it cache its hash.
+        never modified after construction, which lets it cache its hash and
+        its integer numerators (see _numerators).
         """
         canon = {}
         for ij, row in sorted(rows.items()):
@@ -53,6 +54,7 @@ class StructureTensor:
         self.dim = dim
         self.rows = canon
         self._hash = None
+        self._num = None
 
     @classmethod
     def from_brackets(cls, n, brackets):
@@ -230,10 +232,15 @@ def full_space(n):
 
 def _numerators(c):
     """(d, rows): d the common denominator of all coefficients of c, and its
-    stored rows with each coefficient multiplied by d (so integers)."""
-    d = math.lcm(*(q.denominator for row in c.rows.values() for _, q in row))
-    return d, {ij: tuple((k, q.numerator * (d // q.denominator)) for k, q in row)
-               for ij, row in c.rows.items()}
+    stored rows with each coefficient multiplied by d (so integers).
+
+    Made once per tensor and cached on it, so the result is shared: callers
+    read it and never modify it."""
+    if c._num is None:
+        d = math.lcm(*(q.denominator for row in c.rows.values() for _, q in row))
+        c._num = d, {ij: tuple((k, q.numerator * (d // q.denominator)) for k, q in row)
+                     for ij, row in c.rows.items()}
+    return c._num
 
 
 def _adjoint_rows(rows):

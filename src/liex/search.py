@@ -15,23 +15,26 @@ _coarsest_decomposition), and its witness names the coarsest decomposition.
 Its `space` count is the closed-form size of the decomposition space, the
 block partitions of the source basis times one subset of S per block.
 
-Classification of the small restricted tensors is cached globally, since
-the same tensor shows up in many spans and across searches.
+The same few coefficient blocks show up in many spans and across
+searches, so each distinct block is built, ranked and classified once per
+process: the scan keys blocks by their integer numerators in one module
+table, and classification is cached on the shared tensor objects.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from math import comb
 
 from . import linalg
 from .errors import (InputFormatError, LiexError, ParameterNotRationalError,
                      RationalFormError)
-from .expansion import (ResonanceSpec, _expand, coordinate_brackets,
-                        extract_subalgebra, require_semigroup, resonant_span,
-                        s_expand, split_index, validate_resonance, zero_reduce)
+from .expansion import (ResonanceSpec, _expand, extract_subalgebra,
+                        require_semigroup, resonant_span, s_expand, split_index,
+                        validate_resonance, zero_reduce)
 from .identify import identify3
-from .liealg import (StructureTensor, Subspace, catalog, change_basis, parse_label,
-                     require_lie, resolve_algebra)
+from .liealg import (StructureTensor, Subspace, _numerators, catalog, change_basis,
+                     parse_label, require_lie, resolve_algebra)
 from .semigroup import (S2, S3, SemigroupTable, enumerate_abelian_semigroups,
                         semigroups_isomorphic, zero_element)
 
@@ -142,11 +145,33 @@ def _identify_or_none(c):
 
 
 def clear_caches():
-    """Drop the inventory, scan and classification caches (honest cold
-    timings)."""
+    """Drop the inventory, scan, block and classification caches (honest
+    cold timings)."""
     semigroup_inventory.cache_clear()
     scan_3dim_subalgebras.cache_clear()
+    _BLOCKS.clear()
     _identify_or_none.cache_clear()
+
+
+# The coefficient blocks of the closed coordinate triples met so far in the
+# process, as (derived_dim, tensor).  A scan looks a block up by its integer
+# key: the ambient's common denominator and the numerators of the rows
+# [e_0, e_1], [e_0, e_2], [e_1, e_2].  A new key is also looked up by its
+# tensor, so equal blocks are one object whatever ambient they come from.
+_BLOCKS = {}
+
+
+def _block(key):
+    """The (derived_dim, tensor) of a block key missing from _BLOCKS."""
+    den, *rows = key
+    t = StructureTensor(3, {pq: [(k, Fraction(x, den)) for k, x in row]
+                            for pq, row in zip(((0, 1), (0, 2), (1, 2)), rows)})
+    block = _BLOCKS.get(t)
+    if block is None:
+        dense = [[dict(row).get(k, 0) for k in range(3)] for row in rows]
+        block = _BLOCKS[t] = (linalg.rank(dense), t)
+    _BLOCKS[key] = block
+    return block
 
 
 @lru_cache(maxsize=256)
@@ -159,35 +184,48 @@ def scan_3dim_subalgebras(ambient):
     constants.  Returns (records, triples_examined); each record is
     (generators, derived_dim, tensor) with generators the unit coordinate
     vectors and the tensor written in that basis (which is also the span's
-    echelon basis, so classifier witnesses apply to it directly).  Many
-    triples carry the same coefficient block, so each distinct block is
-    ranked and built once per call.
+    echelon basis, so classifier witnesses apply to it directly).
+
+    Triples are taken pair first: the bracket of e_a, e_b (a < b) may reach
+    at most one index c outside the pair, which is then the only third
+    index tried, and the other two pairs are checked by bitmask.  Records
+    come in combinations order and every triple counts as examined.  Each
+    distinct block is built, ranked and classified once per process (see
+    _BLOCKS), however many triples, ambients and searches carry it.
     """
     d = ambient.dim
-    units = []
-    for i in range(d):
-        v = [0] * d
-        v[i] = 1
-        units.append(tuple(v))
-    supp = {ij: sum(1 << k for k, _ in row) for ij, row in ambient.rows.items()}
-    blocks = {}
+    den, num = _numerators(ambient)
+    units = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    supp = [[0] * d for _ in range(d)]
+    # each stored row in the local positions of the three roles its pair
+    # can play in a triple: third index above, between or below the pair
+    up, mid, low = ([[()] * d for _ in range(d)] for _ in range(3))
+    for (i, j), row in num.items():
+        supp[i][j] = sum(1 << k for k, _ in row)
+        up[i][j] = tuple((0 if k == i else 1 if k == j else 2, x) for k, x in row)
+        mid[i][j] = tuple((0 if k == i else 2 if k == j else 1, x) for k, x in row)
+        low[i][j] = tuple((1 if k == i else 2 if k == j else 0, x) for k, x in row)
     records = []
-    examined = 0
-    for idx in combinations(range(d), 3):
-        a, b, c = idx
-        examined += 1
-        mask = (1 << a) | (1 << b) | (1 << c)
-        if (supp.get((a, b), 0) | supp.get((a, c), 0) | supp.get((b, c), 0)) & ~mask:
-            continue
-        rows = coordinate_brackets(ambient, idx)
-        key = tuple(rows.items())
-        block = blocks.get(key)
-        if block is None:
-            dense = [[dict(rows.get(pq, ())).get(t, 0) for t in range(3)]
-                     for pq in ((0, 1), (0, 2), (1, 2))]
-            block = blocks[key] = (linalg.rank(dense), StructureTensor(3, rows))
-        records.append(((units[a], units[b], units[c]),) + block)
-    return tuple(records), examined
+    for a in range(d):
+        for b in range(a + 1, d):
+            out = supp[a][b] & ~((1 << a) | (1 << b))
+            if out & (out - 1):
+                continue                    # reaches two indices outside
+            if out:
+                c = out.bit_length() - 1
+                if c < b:
+                    continue
+                thirds = (c,)
+            else:
+                thirds = range(b + 1, d)
+            ab = up[a][b]
+            for c in thirds:
+                if (supp[a][c] | supp[b][c]) & ~((1 << a) | (1 << b) | (1 << c)):
+                    continue
+                key = (den, ab, mid[a][c], low[b][c])
+                block = _BLOCKS.get(key) or _block(key)
+                records.append(((units[a], units[b], units[c]),) + block)
+    return tuple(records), comb(d, 3)
 
 
 def _decompositions(n, order):

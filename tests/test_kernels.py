@@ -4,10 +4,12 @@ loops they replaced.
 Each reference below is the earlier implementation, kept here verbatim in
 substance: change_basis as a Fraction inverse and a Fraction bilinear loop,
 the split-frame sweep as an iproduct filter with a Fraction perfect-square
-test, coordinate extraction through the Subspace path, and [g, g] as the
-span of all n^2 dense brackets.  The kernels must agree with them exactly.
+test, coordinate extraction through the Subspace path, [g, g] as the span
+of all n^2 dense brackets, and the span scan as extract_subalgebra on
+every closed triple.  The kernels must agree with them exactly.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product as iproduct
@@ -15,14 +17,15 @@ from math import gcd
 
 import pytest
 
-from liex import linalg
+from liex import linalg, search
 from liex.errors import InputFormatError, LiexError, RationalFormError
 from liex.expansion import extract_subalgebra, s_expand, zero_reduce
 from liex.identify import FRAME_SEARCH_LIMIT, _primitive_vectors, identify3
-from liex.liealg import (StructureTensor, Subspace, change_basis, catalog,
-                         derived_subalgebra, full_space, killing_form,
-                         span_of_brackets)
-from liex.semigroup import S3
+from liex.liealg import (StructureTensor, Subspace, _numerators, change_basis,
+                         catalog, derived_subalgebra, full_space, killing_form,
+                         resolve_algebra, span_of_brackets, validate_lie)
+from liex.search import scan_3dim_subalgebras, semigroup_inventory
+from liex.semigroup import S3, zero_element
 from support import rand_invertible
 
 FRACTION_POOL = [F(n, d) for n in range(-4, 5) for d in (1, 2, 3, 5, 7)]
@@ -223,3 +226,86 @@ def test_derived_subalgebra_is_span_of_all_brackets():
         c = catalog(name)
         full = full_space(c.dim)
         assert derived_subalgebra(c) == span_of_brackets(c, full, full)
+
+
+def reference_scan(ambient):
+    """Every triple in combinations order; each closed one (its three pair
+    brackets supported on the triple) extracted by extract_subalgebra and
+    ranked on its dense 3x3 block."""
+    n = ambient.dim
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    records = []
+    examined = 0
+    for idx in combinations(range(n), 3):
+        examined += 1
+        if not {k for pq in combinations(idx, 2)
+                for k, _ in ambient.rows.get(pq, ())} <= set(idx):
+            continue
+        gens = tuple(units[k] for k in idx)
+        sub = extract_subalgebra(ambient, gens)
+        dense = [[dict(sub.rows.get(pq, ())).get(t, 0) for t in range(3)]
+                 for pq in ((0, 1), (0, 2), (1, 2))]
+        records.append((gens, linalg.rank(dense), sub))
+    return tuple(records), examined
+
+
+# the all3 classes and the parameters of acceptance criterion 8
+SCAN_SOURCES = ("3A1", "A2.1+A1", "A3.1", "A3.2", "A3.3", "A3.4(a=1/2)",
+                "A3.4(a=-1)", "A3.4(a=1/3)", "A3.5(b=0)", "A3.5(b=1)",
+                "A3.5(b=2)", "sl2R", "so3")
+
+
+def test_span_scan_matches_extract_subalgebra_on_every_triple():
+    ambients = {}
+    for label in SCAN_SOURCES:
+        c = resolve_algebra(label)
+        for s, _ in semigroup_inventory(4):
+            ambients[s_expand(s, c)] = None
+            if zero_element(s) is not None:
+                ambients[zero_reduce(s, c)] = None
+    records = 0
+    for ambient in ambients:
+        got = scan_3dim_subalgebras(ambient)
+        assert got == reference_scan(ambient), ambient
+        assert got[1] == math.comb(ambient.dim, 3)
+        records += len(got[0])
+    assert len(ambients) > 1000 and records > 80000
+
+
+def test_equal_blocks_are_one_object_until_clear_caches():
+    search.clear_caches()
+    # the common denominators of the two ambients are 2 and 1
+    ambients = (s_expand(S3, catalog("A3.4", a=F(1, 2))), s_expand(S3, catalog("sl2R")))
+    assert [_numerators(a)[0] for a in ambients] == [2, 1]
+    first = {}
+    for ambient in ambients:
+        for _, _, t in scan_3dim_subalgebras(ambient)[0]:
+            assert first.setdefault(t, t) is t
+    shared = set(first)
+    for ambient in ambients:
+        shared &= {t for _, _, t in scan_3dim_subalgebras(ambient)[0]}
+    assert shared       # some block value is met in both ambients
+    search.clear_caches()
+    assert search._BLOCKS == {}
+    assert scan_3dim_subalgebras.cache_info().currsize == 0
+    again = {t: t for _, _, t in scan_3dim_subalgebras(ambients[1])[0]}
+    assert again.keys() <= first.keys()
+    assert all(again[t] is not first[t] for t in again)
+
+
+def fresh_numerators(c):
+    d = math.lcm(*(q.denominator for row in c.rows.values() for _, q in row))
+    return d, {ij: tuple((k, q * d) for k, q in row) for ij, row in c.rows.items()}
+
+
+def test_cached_numerators_are_never_modified():
+    c = catalog("A3.4", a=F(1, 3))
+    expanded = s_expand(S3, c)       # runs validate_lie on the expansion
+    assert validate_lie(c)["ok"]
+    change_basis(c, [[1, 2, 0], [0, 1, F(1, 2)], [3, 0, 1]])
+    scan_3dim_subalgebras(c)
+    scan_3dim_subalgebras(expanded)
+    for t in (c, expanded):
+        assert _numerators(t) is _numerators(t)
+        assert _numerators(t) == fresh_numerators(t)
+    assert _numerators(c)[0] == 3
