@@ -20,7 +20,7 @@ from .expansion import (ResonanceSpec, extract_subalgebra, flat_index,
 from .identify import (CARTAN_DIMENSION, Identification, InvariantSignature,
                        are_isomorphic, identify3, signature)
 from .liealg import (CATALOG_NAMES, StructureTensor, Subspace, ad_matrix,
-                     bracket, catalog, center, change_basis, compose_changes,
+                     bracket, catalog, center, change_basis,
                      derivation_algebra, derived_series, derived_subalgebra,
                      is_unimodular, killing_form, lower_central_series,
                      make_label, nilpotency_degree, parse_label,

@@ -191,22 +191,39 @@ def reduce_decomposition(c, checked, hatted):
 # --- resonant decompositions --------------------------------------------
 
 
-class ResonanceSpec:
-    """Decomposition data: subspaces V_p of g, index subsets S_p of S, and
-    for each pair (p,q) the target set i(p,q); optionally a per-p partition
-    of S_p into a checked and a hatted part (for reductions).
+def _indices(xs, hi):
+    """xs if it is a list of ints in 1..hi, else InputFormatError."""
+    if not isinstance(xs, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= hi
+            for x in xs):
+        raise InputFormatError("resonance data %r is not a list of indices "
+                               "in 1..%d" % (xs, hi))
+    return xs
 
-    parts maps p -> Subspace; sets maps p -> iterable of 1-based semigroup
-    indices; targets maps (p,q) -> iterable of part keys, and must cover
-    every ordered pair.  partitions, when given, maps p -> (checked_set,
-    hatted_set).
+
+class ResonanceSpec:
+    """Decomposition data: parts V_p of g given by index blocks, index
+    subsets S_p of S, and for each pair (p,q) the target set i(p,q);
+    optionally a per-p partition of S_p into a checked and a hatted part
+    (for reductions).
+
+    blocks maps p -> 1-based basis indices of g (V_p is the span of those
+    e_i, the numbering of a witness's `blocks`); sets maps p -> iterable of
+    1-based semigroup indices; targets maps (p,q) -> iterable of part keys,
+    and must cover every ordered pair.  partitions, when given, maps p ->
+    (checked_set, hatted_set).
+
+    A decomposition into subspaces that are not spanned by basis vectors
+    is coordinate in a basis adapted to it: take change_basis(g, P) with
+    the rows of P running through V_1, V_2, ... in turn, and name the
+    blocks of rows.
     """
 
-    def __init__(self, parts, sets, targets, partitions=None):
-        self.keys = sorted(parts)
+    def __init__(self, blocks, sets, targets, partitions=None):
+        self.keys = sorted(blocks)
         if sorted(sets) != self.keys:
-            raise InputFormatError("parts and sets must share the same keys")
-        self.parts = dict(parts)
+            raise InputFormatError("blocks and sets must share the same keys")
+        self.blocks = {p: tuple(blocks[p]) for p in self.keys}
         self.sets = {p: frozenset(sets[p]) for p in self.keys}
         self.targets = {}
         for p in self.keys:
@@ -231,21 +248,58 @@ class ResonanceSpec:
                     raise InputFormatError("partition of part %r does not split S_p" % (p,))
                 self.partitions[p] = (chk, hat)
 
+    @classmethod
+    def from_json(cls, meta, n, order):
+        """The spec a resonant witness names, from the 1-based blocks, sets
+        and "p,q" targets of to_json, for an n-dim g and a semigroup of the
+        given order.  Malformed data raises InputFormatError."""
+        try:
+            blocks, sets = meta["blocks"], meta["sets"]
+            targets = {}
+            for key, val in meta["targets"].items():
+                p, q = (int(x) for x in key.split(","))
+                targets[(p, q)] = val
+        except (TypeError, KeyError, ValueError, AttributeError):
+            raise InputFormatError("malformed resonance data %r" % (meta,))
+        if not isinstance(blocks, list) or not isinstance(sets, list) \
+                or len(blocks) != len(sets):
+            raise InputFormatError("resonance data needs one set per block")
+        k = len(blocks)
+        blocks = {p: _indices(bl, n) for p, bl in enumerate(blocks, 1)}
+        for pq, val in targets.items():
+            _indices(list(pq), k)
+            _indices(val, k)
+        return cls(blocks, {p: _indices(st, order) for p, st in enumerate(sets, 1)},
+                   targets)
+
+    def to_json(self):
+        """The witness form: blocks and sorted sets in key order, and the
+        targets keyed "p,q" by 1-based positions in that order.  Partitions
+        are not part of it."""
+        at = {p: t for t, p in enumerate(self.keys, 1)}
+        return {"blocks": [list(self.blocks[p]) for p in self.keys],
+                "sets": [sorted(self.sets[p]) for p in self.keys],
+                "targets": {"%d,%d" % (at[p], at[q]):
+                            sorted(at[r] for r in self.targets[(p, q)])
+                            for p in self.keys for q in self.keys}}
+
 
 def validate_resonance(s, c, rspec):
-    """Check all resonance conditions; report with per-condition witnesses."""
+    """Check all resonance conditions; report with per-condition witnesses.
+
+    The parts are index blocks, so the direct sum says the blocks, counted
+    with repeats, are exactly 1..n, and the bracket condition that [e_i, e_j]
+    for i in block p and j in block q is supported on the target blocks.
+    """
     n, N = c.dim, s.order
     report = {"ok": True}
 
-    stacked = []
-    total = 0
     for p in rspec.keys:
-        V = rspec.parts[p]
-        if V.ambient != n:
-            raise InputFormatError("subspace for part %r has wrong ambient" % (p,))
-        stacked.extend(list(v) for v in V.basis)
-        total += V.dim
-    report["direct_sum"] = (total == n and linalg.rank(stacked) == n)
+        for i in rspec.blocks[p]:
+            if not 1 <= i <= n:
+                raise InputFormatError("basis index %r out of range" % (i,))
+    report["direct_sum"] = sorted(
+        i for p in rspec.keys for i in rspec.blocks[p]) == list(range(1, n + 1))
 
     covered = set()
     for p in rspec.keys:
@@ -258,19 +312,11 @@ def validate_resonance(s, c, rspec):
     bracket_bad = []
     for p in rspec.keys:
         for q in rspec.keys:
-            target = rspec.targets[(p, q)]
-            gens = []
-            for r in target:
-                gens.extend(list(v) for v in rspec.parts[r].basis)
-            tspace = Subspace(n, gens)
-            for x in rspec.parts[p].basis:
-                for y in rspec.parts[q].basis:
-                    if not tspace.contains(bracket(c, list(x), list(y))):
-                        bracket_bad.append((p, q))
-                        break
-                else:
-                    continue
-                break
+            allowed = set().union(*(rspec.blocks[r] for r in rspec.targets[(p, q)]))
+            if any(k + 1 not in allowed
+                   for i in rspec.blocks[p] for j in rspec.blocks[q]
+                   for k, _ in c.rows.get((min(i, j) - 1, max(i, j) - 1), ())):
+                bracket_bad.append((p, q))
     report["bracket_condition"] = bracket_bad
 
     product_bad = []
@@ -303,22 +349,14 @@ def validate_resonance(s, c, rspec):
     return report
 
 
-def _lifts(rspec, sets_of, n, order):
-    """lambda_a v in S x g for each part p, a in sets_of(p) and v in V_p."""
-    for p in rspec.keys:
-        for a in sorted(sets_of(p)):
-            for v in rspec.parts[p].basis:
-                w = [Fraction(0)] * (n * order)
-                for i in range(1, n + 1):
-                    if v[i - 1]:
-                        w[flat_index(i, a, order) - 1] = v[i - 1]
-                yield w
-
-
 def resonant_span(s, c, rspec):
-    """Span of {lambda_a v : a in S_p, v in V_p} inside the expanded algebra."""
-    n, N = c.dim, s.order
-    return Subspace(n * N, _lifts(rspec, lambda p: rspec.sets[p], n, N))
+    """Span of {lambda_a v : a in S_p, v in V_p} inside the expanded algebra,
+    as its unit vectors in index order (its echelon basis, and the form of
+    a witness span)."""
+    d = c.dim * s.order
+    cells = {flat_index(i, a, s.order) - 1 for p in rspec.keys
+             for a in rspec.sets[p] for i in rspec.blocks[p]}
+    return tuple(tuple(int(k == t) for k in range(d)) for t in sorted(cells))
 
 
 def resonant_subalgebra(s, c, rspec):
@@ -349,17 +387,14 @@ def resonant_reduction(s, c, rspec):
     rep = validate_resonance(s, c, rspec)
     if not rep["ok"]:
         raise NotResonantError("decomposition fails resonance/partition checks")
-    n, N = c.dim, s.order
-    sub_span = resonant_span(s, c, rspec)
-    sub = extract_subalgebra(s_expand(s, c), sub_span)
-
-    def inner_coords(sets_of):
-        return [sub_span.coordinates_of(w)
-                for w in _lifts(rspec, sets_of, n, N)]
-
-    checked = Subspace(sub.dim, inner_coords(lambda p: rspec.partitions[p][0]))
-    hatted = Subspace(sub.dim, inner_coords(lambda p: rspec.partitions[p][1]))
-    return reduce_decomposition(sub, checked, hatted)
+    span = resonant_span(s, c, rspec)
+    sub = extract_subalgebra(s_expand(s, c), span)
+    hatted = {flat_index(i, a, s.order) - 1 for p in rspec.keys
+              for a in rspec.partitions[p][1] for i in rspec.blocks[p]}
+    units = [[int(t == k) for t in range(sub.dim)] for k in range(sub.dim)]
+    return reduce_decomposition(
+        sub, [u for u, v in zip(units, span) if v.index(1) not in hatted],
+        [u for u, v in zip(units, span) if v.index(1) in hatted])
 
 
 # --- span strings --------------------------------------------------------

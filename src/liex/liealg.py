@@ -344,11 +344,6 @@ def change_basis(c, u):
         for i, j, w in transform_brackets(n, num, U, adj, 0)})
 
 
-def compose_changes(u, v):
-    """Basis change equal to applying u first, then v (i.e. the product v u)."""
-    return linalg.mat_mul(v, u)
-
-
 def is_unimodular(c):
     """{"unimodular": bool, "traces": [tr ad_{e_1}, ...]}."""
     traces = [Fraction(0)] * c.dim

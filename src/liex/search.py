@@ -33,7 +33,7 @@ from .expansion import (ResonanceSpec, _expand, extract_subalgebra,
                         require_semigroup, resonant_span, s_expand, split_index,
                         validate_resonance, zero_reduce)
 from .identify import identify3
-from .liealg import (StructureTensor, Subspace, _numerators, catalog, change_basis,
+from .liealg import (StructureTensor, _numerators, catalog, change_basis,
                      parse_label, require_lie, resolve_algebra)
 from .semigroup import (S2, S3, SemigroupTable, enumerate_abelian_semigroups,
                         semigroups_isomorphic, zero_element)
@@ -52,7 +52,7 @@ class Witness:
     semigroup_name: object      # "S2"/"S3" when isomorphic to a built-in
     mode: str
     span: object                # tuple of coordinate tuples
-    resonance: object           # JSONable decomposition data, or None
+    resonance: object           # ResonanceSpec.to_json() form, or None
     label: str
     param: object
     basis_change: tuple
@@ -241,15 +241,15 @@ def _decompositions(n, order):
 
 
 def _coarsest_decomposition(s, c, span):
-    """Resonance metadata for a closed coordinate span, or None when the
-    span is not a resonant subalgebra.
+    """The coarsest ResonanceSpec whose resonant subalgebra is a closed
+    coordinate span, or None when the span is not a resonant subalgebra.
 
     Let A_i be the set of alpha with e_i x lambda_alpha in the span.  The
     span is closed iff A_i A_j lies in A_k whenever C_ij^k != 0, which is
     the product condition for blocks of rows with equal A_i; so it is the
     resonant subalgebra of a decomposition iff the A_i cover S.  The
-    coarsest such decomposition is named: blocks are the classes of rows
-    with equal A_i, targets the minimal ones the brackets allow.
+    coarsest such decomposition is returned: blocks are the classes of
+    rows with equal A_i, targets the minimal ones the brackets allow.
     """
     n, N = c.dim, s.order
     sets = [set() for _ in range(n)]
@@ -261,18 +261,18 @@ def _coarsest_decomposition(s, c, span):
     classes = {}
     for i, a in enumerate(sets, 1):
         classes.setdefault(frozenset(a), []).append(i)
-    blocks = sorted(classes.values())
-    block_of = {i: p for p, bl in enumerate(blocks, 1) for i in bl}
-    targets = {}
-    for p, bp in enumerate(blocks, 1):
-        for q, bq in enumerate(blocks, 1):
-            targets["%d,%d" % (p, q)] = sorted(
-                {block_of[k] for i in bp for j in bq
-                 for k in c.bracket_of(i, j)})
-    return {"blocks": blocks, "sets": [sorted(sets[bl[0] - 1]) for bl in blocks],
-            "targets": targets}
+    blocks = dict(enumerate(sorted(classes.values()), 1))
+    block_of = {i: p for p, bl in blocks.items() for i in bl}
+    targets = {(p, q): {block_of[k + 1] for i in bp for j in bq
+                        for k, _ in c.rows.get((min(i, j) - 1, max(i, j) - 1), ())}
+               for p, bp in blocks.items() for q, bq in blocks.items()}
+    return ResonanceSpec(blocks, {p: sets[bl[0] - 1] for p, bl in blocks.items()},
+                         targets)
 
 
+# A theorem, not a cut-off: a 3-dim coordinate span holds three vectors
+# e_i x lambda_alpha, so its A_i cover at most three elements of S, and no
+# semigroup of order 4 or more has a 3-dim coordinate resonant subalgebra.
 RESONANT_ORDER_BOUND = 3
 
 
@@ -306,12 +306,11 @@ def _search(source, max_order, modes, wants):
     for m in modes:
         space["%s_candidates" % m] = 0
 
-    def record(sub, s, sname, mode, span, meta):
+    def record(sub, s, sname, mode, span, spec):
         ident = _identify_or_none(sub)
         if ident is not None and (ident.label, ident.param) in wants:
-            if meta is not None:
-                spec = _resonance_spec(s, source.dim, meta)
-                assert validate_resonance(s, source, spec)["ok"], meta
+            meta = None if spec is None else spec.to_json()
+            assert spec is None or validate_resonance(s, source, spec)["ok"], meta
             witnesses.append(Witness(s, sname, mode, span, meta,
                                      ident.label, ident.param, ident.witness))
 
@@ -341,9 +340,9 @@ def _search(source, max_order, modes, wants):
                 expanded = _expand(s, source, elems)
             for gens, dd, gt in scan_3dim_subalgebras(expanded)[0]:
                 if dd in dds:
-                    meta = _coarsest_decomposition(s, source, gens)
-                    if meta is not None:
-                        record(gt, s, sname, "resonant", gens, meta)
+                    spec = _coarsest_decomposition(s, source, gens)
+                    if spec is not None:
+                        record(gt, s, sname, "resonant", gens, spec)
     return witnesses, space
 
 
@@ -360,41 +359,6 @@ def find_connection(source, target_label, max_order=3,
         source = change_basis(source, pre_change)
     witnesses, space = _search(source, max_order, modes, {want})
     return SearchResult(tuple(witnesses), space, max_order, tuple(modes))
-
-
-def _indices(xs, hi):
-    """xs if it is a list of ints in 1..hi, else InputFormatError."""
-    if not isinstance(xs, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= hi
-            for x in xs):
-        raise InputFormatError("resonance data %r is not a list of indices "
-                               "in 1..%d" % (xs, hi))
-    return xs
-
-
-def _resonance_spec(s, n, meta):
-    """The ResonanceSpec a resonant witness names, from the 1-based blocks,
-    sets and "p,q" targets that _coarsest_decomposition writes."""
-    try:
-        blocks, sets = meta["blocks"], meta["sets"]
-        targets = {}
-        for key, val in meta["targets"].items():
-            p, q = (int(x) for x in key.split(","))
-            targets[(p, q)] = val
-    except (TypeError, KeyError, ValueError, AttributeError):
-        raise InputFormatError("malformed resonance data %r" % (meta,))
-    if not isinstance(blocks, list) or not isinstance(sets, list) \
-            or len(blocks) != len(sets):
-        raise InputFormatError("resonance data needs one set per block")
-    k = len(blocks)
-    parts = {p: Subspace(n, [linalg.e_k(n, i - 1) for i in _indices(bl, n)])
-             for p, bl in enumerate(blocks)}
-    pairs = {}
-    for (p, q), val in targets.items():
-        _indices([p, q], k)
-        pairs[(p - 1, q - 1)] = [r - 1 for r in _indices(val, k)]
-    return ResonanceSpec(
-        parts, {p: _indices(st, s.order) for p, st in enumerate(sets)}, pairs)
 
 
 def replay(source, witness):
@@ -418,10 +382,10 @@ def replay(source, witness):
         if witness.mode == "resonant":
             if witness.resonance is None:
                 return False
-            spec = _resonance_spec(s, source.dim, witness.resonance)
+            spec = ResonanceSpec.from_json(witness.resonance, source.dim, s.order)
             if not validate_resonance(s, source, spec)["ok"]:
                 return False
-            if resonant_span(s, source, spec).basis != tuple(map(tuple, witness.span)):
+            if resonant_span(s, source, spec) != tuple(map(tuple, witness.span)):
                 return False
         sub = extract_subalgebra(ambient, [list(v) for v in witness.span])
         expected = catalog(witness.label, **params)

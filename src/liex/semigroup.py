@@ -330,11 +330,3 @@ S2 = SemigroupTable([[2, 2], [2, 2]])
 S3 = SemigroupTable([[1, 1, 1], [1, 1, 2], [1, 2, 3]])
 
 BUILTIN_SEMIGROUPS = {"S2": S2, "S3": S3}
-
-
-def resolve_semigroup(name):
-    try:
-        return BUILTIN_SEMIGROUPS[name]
-    except KeyError:
-        raise InputFormatError("unknown semigroup name %r (builtins: %s)"
-                               % (name, ", ".join(sorted(BUILTIN_SEMIGROUPS))))

@@ -189,10 +189,10 @@ def test_reduce_rejects_bad_decompositions():
 
 def whole_space_spec(s, c, partitions=None):
     sets = {0: range(1, s.order + 1)}
-    parts = {0: full_space(c.dim)}
+    blocks = {0: range(1, c.dim + 1)}
     if partitions is not None:
-        return ResonanceSpec(parts, sets, {(0, 0): {0}}, partitions)
-    return ResonanceSpec(parts, sets, {(0, 0): {0}})
+        return ResonanceSpec(blocks, sets, {(0, 0): {0}}, partitions)
+    return ResonanceSpec(blocks, sets, {(0, 0): {0}})
 
 
 def test_single_block_resonance_is_whole_expansion():
@@ -206,8 +206,7 @@ def test_single_block_resonance_is_whole_expansion():
 def test_two_block_resonance():
     c = catalog("sl2R")
     spec = ResonanceSpec(
-        parts={0: Subspace(3, unit_rows(3, (1,))),
-               1: Subspace(3, unit_rows(3, (0, 2)))},
+        blocks={0: [2], 1: [1, 3]},
         sets={0: {1, 3}, 1: {1, 2}},
         targets={(0, 0): {0}, (1, 1): {0}, (0, 1): {1}},
     )
@@ -217,21 +216,16 @@ def test_two_block_resonance():
     assert sub.dim == 6
     assert validate_lie(sub)["ok"]
     span = resonant_span(S3, c, spec)
-    assert span.dim == 6
+    assert len(set(span)) == len(span) == 6
     # lambda_2 e_2 is not in the carrier, lambda_2 e_1 is
-    v = [F(0)] * 9
-    v[flat_index(2, 2, 3) - 1] = F(1)
-    assert not span.contains(v)
-    v = [F(0)] * 9
-    v[flat_index(1, 2, 3) - 1] = F(1)
-    assert span.contains(v)
+    assert unit_rows(9, (flat_index(2, 2, 3) - 1,))[0] not in span
+    assert unit_rows(9, (flat_index(1, 2, 3) - 1,))[0] in span
 
 
 def test_resonance_product_violation():
     c = catalog("sl2R")
     spec = ResonanceSpec(
-        parts={0: Subspace(3, unit_rows(3, (1,))),
-               1: Subspace(3, unit_rows(3, (0, 2)))},
+        blocks={0: [2], 1: [1, 3]},
         sets={0: {3}, 1: {1, 2}},
         targets={(0, 0): {0}, (1, 1): {0}, (0, 1): {1}},
     )
@@ -257,13 +251,19 @@ def test_resonant_reduction_needs_partitions():
 def test_resonance_spec_validation():
     c = catalog("sl2R")
     with pytest.raises(InputFormatError):
-        ResonanceSpec({0: full_space(3)}, {0: {1, 2, 3}, 1: {1}}, {(0, 0): {0}})
+        ResonanceSpec({0: [1, 2, 3]}, {0: {1, 2, 3}, 1: {1}}, {(0, 0): {0}})
     with pytest.raises(InputFormatError):
-        ResonanceSpec({0: full_space(3)}, {0: {1, 2, 3}}, {})
+        ResonanceSpec({0: [1, 2, 3]}, {0: {1, 2, 3}}, {})
     with pytest.raises(InputFormatError):
-        ResonanceSpec({0: full_space(3)}, {0: {1, 2, 3}}, {(0, 0): {5}})
+        ResonanceSpec({0: [1, 2, 3]}, {0: {1, 2, 3}}, {(0, 0): {5}})
     with pytest.raises(InputFormatError):
         whole_space_spec(S3, c, partitions={0: ({1, 2}, {2, 3})})
+    # basis and semigroup indices are checked against g and S
+    for blocks, sets in (({0: [1, 2, 4]}, {0: {1, 2, 3}}),
+                         ({0: [0, 1, 2, 3]}, {0: {1, 2, 3}}),
+                         ({0: [1, 2, 3]}, {0: {1, 2, 4}})):
+        with pytest.raises(InputFormatError):
+            validate_resonance(S3, c, ResonanceSpec(blocks, sets, {(0, 0): {0}}))
 
 
 def test_parse_span():

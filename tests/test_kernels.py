@@ -5,12 +5,14 @@ Each reference below is the earlier implementation, kept here verbatim in
 substance: change_basis as a Fraction inverse and a Fraction bilinear loop,
 the split-frame sweep as an iproduct filter with a Fraction perfect-square
 test, coordinate extraction through the Subspace path, [g, g] as the span
-of all n^2 dense brackets, and the span scan as extract_subalgebra on
-every closed triple.  The kernels must agree with them exactly.
+of all n^2 dense brackets, the span scan as extract_subalgebra on every
+closed triple, and validate_resonance on Subspace parts.  The kernels
+must agree with them exactly.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product as iproduct
 from math import gcd
@@ -19,13 +21,16 @@ import pytest
 
 from liex import linalg, search
 from liex.errors import InputFormatError, LiexError, RationalFormError
-from liex.expansion import extract_subalgebra, s_expand, zero_reduce
+from liex.cli import ALL3_LABELS
+from liex.expansion import (ResonanceSpec, extract_subalgebra, s_expand,
+                            validate_resonance, zero_reduce)
 from liex.identify import FRAME_SEARCH_LIMIT, _primitive_vectors, identify3
-from liex.liealg import (StructureTensor, Subspace, _numerators, change_basis,
-                         catalog, derived_subalgebra, full_space, killing_form,
-                         resolve_algebra, span_of_brackets, validate_lie)
+from liex.liealg import (StructureTensor, Subspace, _numerators, bracket,
+                         change_basis, catalog, derived_subalgebra, full_space,
+                         killing_form, resolve_algebra, span_of_brackets,
+                         validate_lie)
 from liex.search import scan_3dim_subalgebras, semigroup_inventory
-from liex.semigroup import S3, zero_element
+from liex.semigroup import S3, TRIVIAL, zero_element
 from support import rand_invertible
 
 FRACTION_POOL = [F(n, d) for n in range(-4, 5) for d in (1, 2, 3, 5, 7)]
@@ -309,3 +314,145 @@ def test_cached_numerators_are_never_modified():
         assert _numerators(t) is _numerators(t)
         assert _numerators(t) == fresh_numerators(t)
     assert _numerators(c)[0] == 3
+
+
+def reference_validate_resonance(s, c, rspec, parts):
+    """validate_resonance on Subspace parts: the direct sum by a rank, the
+    bracket condition by a Subspace per block pair and a contains per
+    bracket.  parts maps each key of rspec to its Subspace."""
+    n, N = c.dim, s.order
+    report = {"ok": True}
+
+    stacked = []
+    total = 0
+    for p in rspec.keys:
+        V = parts[p]
+        if V.ambient != n:
+            raise InputFormatError("subspace for part %r has wrong ambient" % (p,))
+        stacked.extend(list(v) for v in V.basis)
+        total += V.dim
+    report["direct_sum"] = (total == n and linalg.rank(stacked) == n)
+
+    covered = set()
+    for p in rspec.keys:
+        for a in rspec.sets[p]:
+            if not 1 <= a <= N:
+                raise InputFormatError("semigroup index %r out of range" % (a,))
+        covered |= rspec.sets[p]
+    report["covering"] = covered == set(range(1, N + 1))
+
+    bracket_bad = []
+    for p in rspec.keys:
+        for q in rspec.keys:
+            target = rspec.targets[(p, q)]
+            gens = []
+            for r in target:
+                gens.extend(list(v) for v in parts[r].basis)
+            tspace = Subspace(n, gens)
+            for x in parts[p].basis:
+                for y in parts[q].basis:
+                    if not tspace.contains(bracket(c, list(x), list(y))):
+                        bracket_bad.append((p, q))
+                        break
+                else:
+                    continue
+                break
+    report["bracket_condition"] = bracket_bad
+
+    product_bad = []
+    for p in rspec.keys:
+        for q in rspec.keys:
+            target = rspec.targets[(p, q)]
+            for a in sorted(rspec.sets[p]):
+                for b in sorted(rspec.sets[q]):
+                    g = s.product(a, b)
+                    if any(g not in rspec.sets[r] for r in target):
+                        product_bad.append((p, q, a, b))
+    report["product_condition"] = product_bad
+
+    partition_bad = []
+    if rspec.partitions is not None:
+        for p in rspec.keys:
+            chk_p = rspec.partitions[p][0]
+            for q in rspec.keys:
+                hat_q = rspec.partitions[q][1]
+                target = rspec.targets[(p, q)]
+                for a in sorted(chk_p):
+                    for b in sorted(hat_q):
+                        g = s.product(a, b)
+                        if any(g not in rspec.partitions[r][1] for r in target):
+                            partition_bad.append((p, q, a, b))
+    report["partition_condition"] = partition_bad
+
+    report["ok"] = (report["direct_sum"] and report["covering"]
+                    and not bracket_bad and not product_bad and not partition_bad)
+    return report
+
+
+def subspace_parts(n, blocks):
+    return {p: Subspace(n, [linalg.e_k(n, i - 1) for i in bl])
+            for p, bl in blocks.items()}
+
+
+def subset(rng, items):
+    return {x for x in items if rng.random() < 0.5}
+
+
+def random_decompositions(rng, n, order, count):
+    """(blocks, sets, targets, partitions): blocks of distinct indices that
+    may overlap or miss one, random sets and targets, and partitions half of
+    the time; first the whole-space decomposition, which is always
+    resonant."""
+    elems = range(1, order + 1)
+    yield {0: list(range(1, n + 1))}, {0: set(elems)}, {(0, 0): {0}}, None
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        blocks = {p: sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                  for p in range(k)}
+        if rng.random() < 0.5:       # a partition of 1..n instead
+            cut = sorted(rng.sample(range(1, n), k - 1))
+            blocks = {p: list(range(a + 1, b + 1))
+                      for p, (a, b) in enumerate(zip([0] + cut, cut + [n]))}
+        sets = {p: subset(rng, elems) for p in blocks}
+        targets = {(p, q): subset(rng, blocks) for p in blocks for q in blocks}
+        partitions = None
+        if rng.random() < 0.5:
+            partitions = {}
+            for p, st in sets.items():
+                hat = subset(rng, st)
+                partitions[p] = (st - hat, hat)
+        yield blocks, sets, targets, partitions
+
+
+def test_validate_resonance_matches_subspace_path():
+    rng = random.Random(2301)
+    failing = Counter()
+    compared = 0
+    for label in ALL3_LABELS:
+        c = resolve_algebra(label)
+        for s, _ in semigroup_inventory(3):
+            for blocks, sets, targets, partitions in random_decompositions(
+                    rng, c.dim, s.order, 12):
+                spec = ResonanceSpec(blocks, sets, targets, partitions)
+                parts = subspace_parts(c.dim, blocks)
+                rep = validate_resonance(s, c, spec)
+                assert rep == reference_validate_resonance(s, c, spec, parts), \
+                    (label, s, blocks, sets, targets, partitions)
+                for key, val in rep.items():
+                    # a flag fails when False, a witness list when non-empty
+                    failing[key] += not val if isinstance(val, bool) else bool(val)
+                compared += 1
+    # every condition, and the verdict, fails somewhere and holds somewhere
+    assert len(failing) == 6
+    for key, count in failing.items():
+        assert 0 < count < compared, (key, count, compared)
+
+    # Subspace parts merged a repeated index; counted with repeats, the
+    # blocks no longer partition 1..n
+    c = catalog("sl2R")
+    blocks = {0: [1, 1], 1: [2, 3]}
+    spec = ResonanceSpec(blocks, {0: {1}, 1: {1}},
+                         {(0, 0): {0}, (0, 1): {1}, (1, 1): {0}})
+    parts = subspace_parts(3, blocks)
+    assert reference_validate_resonance(TRIVIAL, c, spec, parts)["direct_sum"]
+    assert not validate_resonance(TRIVIAL, c, spec)["direct_sum"]

@@ -16,7 +16,7 @@ from liex import expansion, linalg, search
 from liex.errors import InputFormatError, NotALieAlgebraError
 from liex.expansion import (ResonanceSpec, extract_subalgebra, resonant_span,
                             s_expand, split_index, validate_resonance)
-from liex.liealg import (StructureTensor, Subspace, bracket, catalog, change_basis,
+from liex.liealg import (StructureTensor, bracket, catalog, change_basis,
                          resolve_algebra)
 from liex.search import (
     DD_BY_LABEL,
@@ -118,6 +118,8 @@ def test_resonant_search():
     for w in res.witnesses[:5]:
         assert w.mode == "resonant"
         assert set(w.resonance) == {"blocks", "sets", "targets"}
+        spec = ResonanceSpec.from_json(w.resonance, 3, w.semigroup.order)
+        assert spec.to_json() == w.resonance
         assert replay(catalog("sl2R"), w)
 
     res = find_connection(catalog("A2.1+A1"), "A3.3", max_order=3,
@@ -178,9 +180,8 @@ def _reference_decompositions(s, c):
                    for (p, q), rs in tmin.items() for r in rs
                    for al in cover[p] for be in cover[q]):
                 continue
-            parts = {p: Subspace(n, [linalg.e_k(n, i - 1) for i in blocks[p]])
-                     for p in range(k)}
-            specs.append((ResonanceSpec(parts, dict(enumerate(cover)), tmin),
+            specs.append((ResonanceSpec(dict(enumerate(blocks)), dict(enumerate(cover)),
+                                        tmin),
                           {"blocks": blocks,
                            "sets": [sorted(cover[p]) for p in range(k)],
                            "targets": {"%d,%d" % (p + 1, q + 1):
@@ -201,7 +202,7 @@ def _reference_resonant_search(source, max_order):
         expanded = s_expand(s, source)
         seen = set()
         for spec, meta in specs:
-            span = resonant_span(s, source, spec).basis
+            span = resonant_span(s, source, spec)
             if span in seen:
                 continue
             seen.add(span)
@@ -317,6 +318,9 @@ def test_replay_rejects_tampered_witnesses():
     assert not replay(sl2r, tampered(sets=[[], [1], [1, 2]]))
     # [e2, e3] = e3 does not land in an empty target
     assert not replay(sl2r, tampered(targets={**w.resonance["targets"], "2,3": []}))
+    # blocks that overlap, miss an index or repeat one are no direct sum
+    for blocks in ([[1], [1, 2], [3]], [[1], [2], []], [[1], [2, 2], [3]]):
+        assert not replay(sl2r, tampered(blocks=blocks)), blocks
     # malformed metadata
     for bad in ({"blocks": [[0], [2], [3]]}, {"blocks": [["1"], [2], [3]]},
                 {"blocks": [[1], [2]]}, {"sets": [[], [True], [1, 2]]},

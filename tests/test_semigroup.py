@@ -19,7 +19,6 @@ from liex.semigroup import (
     SemigroupTable,
     canonical_form,
     enumerate_abelian_semigroups,
-    resolve_semigroup,
     semigroups_isomorphic,
     validate_semigroup,
     zero_element,
@@ -238,10 +237,3 @@ def test_json_rejects_bool_order():
     with pytest.raises(InputFormatError):
         SemigroupTable.from_json({"order": True, "table": [[1]]})
     assert SemigroupTable.from_json({"order": 1, "table": [[1]]}) == TRIVIAL
-
-
-def test_resolve_semigroup():
-    assert resolve_semigroup("S2") is S2
-    assert resolve_semigroup("S3") is S3
-    with pytest.raises(InputFormatError):
-        resolve_semigroup("S9")
