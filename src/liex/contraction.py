@@ -1,11 +1,13 @@
 """Parametric basis families and exact contraction limits.
 
-Everything is computed in the ring of Laurent polynomials over Q in one
-parameter (written eps below); matrix inversion goes through the adjugate,
-so transformed structure constants are ratios of Laurent polynomials.  When
-the exact division comes out clean the denominator disappears; otherwise
-the numerator/denominator pair is kept with the denominator normalized to
-valuation 0 and constant term 1, which keeps valuations trivially readable.
+A family is an n x n matrix of Laurent polynomials over Q in one parameter
+(written eps below).  Its inverse is adj/det, so in the eps-dependent frame
+every structure constant is num/det: num a Laurent polynomial, det the
+family's one determinant.  The constants are kept that way, as sparse
+numerator rows over det, and no fraction is ever reduced.  The eps -> 0
+limit reads each entry directly: num/det has valuation v(num) - v(det), and
+when that is 0 its value at eps = 0 is num's coefficient at v(det) divided
+by det's.
 
 A family acts on columns: basis vector i of the new frame has the entries
 of column i as coordinates in the old frame.  With a constant invertible
@@ -78,15 +80,9 @@ class LaurentPoly:
                 t[e1 + e2] = t.get(e1 + e2, Fraction(0)) + q1 * q2
         return LaurentPoly(t)
 
-    def shift(self, k):
-        return LaurentPoly({e + k: q for e, q in self.terms.items()})
-
     def valuation(self):
         """Least exponent with nonzero coefficient; None for the zero poly."""
         return min(self.terms) if self.terms else None
-
-    def degree(self):
-        return max(self.terms) if self.terms else None
 
     def coeff(self, e):
         return self.terms.get(e, Fraction(0))
@@ -105,97 +101,6 @@ class LaurentPoly:
             return cls({int(e): linalg.frac(q) for e, q in obj.items()})
         except (TypeError, ValueError, AttributeError, ZeroDivisionError):
             raise InputFormatError("bad Laurent polynomial %r" % (obj,))
-
-
-def _divmod_poly(a, b):
-    """Long division of ordinary (valuation >= 0) polynomials."""
-    assert b
-    q = {}
-    r = dict(a.terms)
-    db = b.degree()
-    lead = b.coeff(db)
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        f = r[dr] / lead
-        q[dr - db] = f
-        for e, c in b.terms.items():
-            ne = e + dr - db
-            nv = r.get(ne, Fraction(0)) - f * c
-            if nv:
-                r[ne] = nv
-            else:
-                r.pop(ne, None)
-    return LaurentPoly(q), LaurentPoly(r)
-
-
-def _gcd_poly(a, b):
-    while b:
-        _, rem = _divmod_poly(a, b)
-        a, b = b, rem
-    if a:
-        a = a * (Fraction(1) / a.coeff(a.degree()))
-    return a
-
-
-class LaurentFrac:
-    """num/den with den normalized to valuation 0 and constant term 1.
-
-    den is the constant 1 whenever the division is exact, so plain Laurent
-    polynomials are the common case.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = LaurentPoly.const(1)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num = LaurentPoly()
-            self.den = LaurentPoly.const(1)
-            return
-        # make both ordinary polynomials, remember the eps-power offset
-        vn, vd = num.valuation(), den.valuation()
-        n0, d0 = num.shift(-vn), den.shift(-vd)
-        q, r = _divmod_poly(n0, d0)
-        if not r:
-            self.num = q.shift(vn - vd)
-            self.den = LaurentPoly.const(1)
-            return
-        g = _gcd_poly(n0, d0)
-        n0, _ = _divmod_poly(n0, g)
-        d0, _ = _divmod_poly(d0, g)
-        c = d0.coeff(0)
-        assert c, "denominator lost its constant term after gcd reduction"
-        self.num = n0.shift(vn - vd) * (Fraction(1) / c)
-        self.den = d0 * (Fraction(1) / c)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentFrac)
-                and self.num == other.num and self.den == other.den)
-
-    def valuation(self):
-        # den has valuation 0, so the numerator decides
-        return self.num.valuation()
-
-    def value_at_zero(self):
-        """Constant term of the eps -> 0 limit; requires valuation >= 0."""
-        v = self.valuation()
-        if v is None or v > 0:
-            return Fraction(0)
-        assert v == 0, "divergent entry has no value at zero"
-        return self.num.coeff(0) / self.den.coeff(0)
-
-    def __repr__(self):
-        if self.den == LaurentPoly.const(1):
-            return repr(self.num)
-        return "(%r) / (%r)" % (self.num, self.den)
 
 
 class LaurentBasisFamily:
@@ -274,13 +179,10 @@ def _det_minor(entries, rows, cols, memo):
     return acc
 
 
-def family_determinant(fam):
-    n = fam.dim
-    return _det_minor(fam.entries, tuple(range(n)), tuple(range(n)), {})
-
-
 def family_adjugate(fam):
-    """adj with adj*B = det(B)*I; adj[i][j] = (-1)^(i+j) minor(del row j, col i)."""
+    """(det, adj) with adj*B = det(B)*I; adj[i][j] = (-1)^(i+j) minor(del
+    row j, col i).  det expands along the first row over the memoised
+    minors of column 0 of adj."""
     n = fam.dim
     memo = {}
     adj = [[None] * n for _ in range(n)]
@@ -291,15 +193,25 @@ def family_adjugate(fam):
             rows = tuple(r for r in full if r != j)
             m = _det_minor(fam.entries, rows, cols, memo)
             adj[i][j] = m if (i + j) % 2 == 0 else -m
-    return adj
+    det = sum((e * adj[c][0] for c, e in enumerate(fam.entries[0]) if e),
+              LaurentPoly())
+    return det, adj
 
 
-class LaurentTensor:
-    __slots__ = ("dim", "entries")
+class ParametricTensor:
+    """Structure constants num/det in an eps-dependent frame.
 
-    def __init__(self, dim, entries):
+    rows has the StructureTensor layout: each pair (i, j), i < j, with a
+    nonzero bracket maps to the tuple of its nonzero (k, num), k ascending;
+    every constant shares the one denominator det.
+    """
+
+    __slots__ = ("dim", "rows", "det")
+
+    def __init__(self, dim, rows, det):
         self.dim = dim
-        self.entries = entries  # n x n x n nested lists of LaurentFrac
+        self.rows = rows
+        self.det = det
 
 
 def transform_parametric(c, fam):
@@ -308,17 +220,16 @@ def transform_parametric(c, fam):
     if fam.dim != n:
         raise InputFormatError("family dimension %d != algebra dimension %d"
                                % (fam.dim, n))
-    det = family_determinant(fam)
+    det, adj = family_adjugate(fam)
     if not det:
         raise InputFormatError("family determinant is identically zero")
-    rows = linalg.transpose(fam.entries)
-    back = linalg.transpose(family_adjugate(fam))
-    zero = LaurentFrac(LaurentPoly())
-    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i, j, w in transform_brackets(n, c.rows, rows, back, LaurentPoly()):
-        out[i][j] = [LaurentFrac(x, det) if x else zero for x in w]
-        out[j][i] = [LaurentFrac(-x, det) if x else zero for x in w]
-    return LaurentTensor(n, out)
+    out = {}
+    for i, j, w in transform_brackets(n, c.rows, linalg.transpose(fam.entries),
+                                      linalg.transpose(adj), LaurentPoly()):
+        row = tuple((k, x) for k, x in enumerate(w) if x)
+        if row:
+            out[(i, j)] = row
+    return ParametricTensor(n, out, det)
 
 
 @dataclass(frozen=True)
@@ -334,20 +245,20 @@ class Divergent:
                               "valuation": self.valuation}}
 
 
-def limit(lt):
+def limit(pt):
     """eps -> 0 limit: the tensor of constant terms, or a Divergent marker
-    naming the first entry with negative valuation."""
-    n = lt.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                e = lt.entries[i][j][k]
-                v = e.valuation()
-                if v is not None and v < 0:
-                    return Divergent(i + 1, j + 1, k + 1, v)
-    t = StructureTensor(n, {(i, j): [(k, e.value_at_zero())
-                                     for k, e in enumerate(lt.entries[i][j])]
-                            for i in range(n) for j in range(i + 1, n)})
+    naming the first entry (i, j, k), i < j, with negative valuation.  The
+    entry (j, i, k) is the same constant negated, so no ordered triple with
+    a negative valuation comes before that one."""
+    v0 = pt.det.valuation()
+    for (i, j), row in pt.rows.items():
+        for k, x in row:
+            v = x.valuation() - v0
+            if v < 0:
+                return Divergent(i + 1, j + 1, k + 1, v)
+    lead = pt.det.coeff(v0)
+    t = StructureTensor(pt.dim, {ij: [(k, x.coeff(v0) / lead) for k, x in row]
+                                 for ij, row in pt.rows.items()})
     rep = validate_lie(t)
     assert rep["ok"], "contraction limit lost the Jacobi identity"
     return t
@@ -365,8 +276,7 @@ def verify_contraction(source, fam, target_label, post_change=None):
 
     name, params = parse_label(target_label)
     target = resolve_algebra(target_label)
-    lt = transform_parametric(source, fam)
-    lim = limit(lt)
+    lim = limit(transform_parametric(source, fam))
     report = {"target": target_label}
     if isinstance(lim, Divergent):
         report.update(lim.to_json())

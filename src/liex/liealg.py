@@ -418,16 +418,22 @@ def center(c):
 def killing_form(c):
     """{"matrix": K, "rank": r, "signature": (plus, minus, zero)}.
 
-    K[i][j] = tr(ad_{e_i} ad_{e_j}); signature by exact congruence
-    diagonalization.
+    K[i][j] = tr(ad_{e_i} ad_{e_j}) = sum over q, p of C_iq^p C_jp^q, read
+    off the stored rows on integer numerators over d^2, d the common
+    denominator of c; signature by exact congruence diagonalization.
     """
     n = c.dim
-    ads = [ad_matrix(c, linalg.e_k(n, i)) for i in range(n)]
+    d, num = _numerators(c)
+    # ads[i] maps (q, p) to C_iq^p, the nonzero entries of ad_{e_i}
+    ads = {i: {(q, p): x for q, row in brs.items() for p, x in row}
+           for i, brs in _adjoint_rows(num).items()}
+    dd = d * d
     K = linalg.zeros(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            tr = sum(ads[i][p][q] * ads[j][q][p] for p in range(n) for q in range(n))
-            K[i][j] = K[j][i] = tr
+    for i, a in ads.items():
+        for j, b in ads.items():
+            if i <= j:
+                K[i][j] = K[j][i] = Fraction(
+                    sum(x * b.get((p, q), 0) for (q, p), x in a.items()), dd)
     return {"matrix": K, "rank": linalg.rank(K),
             "signature": linalg.symmetric_signature(K)}
 

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -191,11 +192,30 @@ def test_contract_divergent(capsys, tmp_path):
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps({"dim": 3, "entries": {
         "1,1": {"-1": "1"}, "2,2": {"0": "1"}, "3,3": {"0": "1"}}}))
-    code, out = run_json(capsys, ["contract", "--algebra", "sl2R",
-                                  "--family", str(fam)])
+    code, raw = run(capsys, ["contract", "--algebra", "sl2R",
+                             "--family", str(fam)])
+    assert hashlib.sha256(raw.encode()).hexdigest() == (
+        "5b970980a6776f8d3a8a68beed7cefa2f3682d6c3a143af379cf10b6b89ceedd")
+    out = json.loads(raw)
     assert code == 2
     assert out["error"]["code"] == "divergent_limit"
     assert out["error"]["witness"] == {"i": 1, "j": 3, "k": 2, "valuation": -1}
+
+
+def test_contract_huge_exponent_is_fast(capsys, tmp_path):
+    # a ten-character exponent key costs no more than a small one: no step
+    # of the limit does work in proportion to a degree
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"dim": 3, "entries": {
+        "1,1": {"0": "1", str(10 ** 6): "1"}, "2,2": {"0": "1", "1": "1"},
+        "3,3": {"0": "1"}}}))
+    t0 = time.perf_counter()
+    code, out = run_json(capsys, ["contract", "--algebra", "sl2R",
+                                  "--family", str(fam)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert StructureTensor.from_json(out) == StructureTensor.from_brackets(
+        3, {(1, 2): {1: 1}, (1, 3): {2: 2}, (2, 3): {3: 1}})
 
 
 def test_malformed_json_files_get_the_input_format_envelope(capsys, tmp_path):
@@ -352,8 +372,11 @@ def test_graph_all3_stdout_is_pinned(capsys, modes):
 
 # sha256 of stdout, with the exit code, for one command of each output
 # shape: a search in each mode and an order-4 one, both enumerations, a
-# tensor and a domain-error envelope.  Taken from the json.dump writer the
-# CLI used before it wrote its own JSON, so that writer's bytes are kept.
+# tensor, a domain-error envelope, a contraction with and without a target
+# and the identify report of both simple classes.  The first eight were
+# taken from the json.dump writer the CLI used before it wrote its own JSON,
+# so that writer's bytes are kept; the contract and identify digests pin the
+# output of the dense Laurent-fraction limit and ad-matrix Killing form.
 STDOUT_SHA256 = {
     "search --from sl2R --to A2.1+A1 --max-order 3 --modes subalgebra":
         (0, "369669eb3d42be47c18221b6c8814b317ab6003b88ed38a9d1b9d9d48a4b52a7"),
@@ -371,6 +394,14 @@ STDOUT_SHA256 = {
         (0, "42c67b533010b83e8b3ef08a7db3fd317310602459d3f053df4d6f99c9f68c15"),
     "subalgebra --algebra sl2R --span E1,E3":
         (2, "85dccbb25153d61407f5228b62a0ad4cccc772bd3aeb88c49f915f547b670f3c"),
+    "contract --algebra gF --family UFE --target gE":
+        (0, "c94c7925caa6031182da6882210fffc32dbb819afcc5df474c0d2305b0a866b7"),
+    "contract --algebra gF --family UFE":
+        (0, "2cbed826cf1d5f156e8c3fb958d39a60c8f89dd0ad49a69e838382c5a52bcaca"),
+    "identify --algebra sl2R":
+        (0, "5bccf32fc282fff093c7bee09e4b8d53df9e748b18afa0ec5fe2aae5da622e84"),
+    "identify --algebra so3":
+        (0, "6c13f1308ff731fa7a2aa09e840fbaec2d17e00c353c4c6509018f198e1b0752"),
 }
 
 

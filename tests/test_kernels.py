@@ -6,8 +6,9 @@ substance: change_basis as a Fraction inverse and a Fraction bilinear loop,
 the split-frame sweep as an iproduct filter with a Fraction perfect-square
 test, coordinate extraction through the Subspace path, [g, g] as the span
 of all n^2 dense brackets, the span scan as extract_subalgebra on every
-closed triple, and validate_resonance on Subspace parts.  The kernels
-must agree with them exactly.
+closed triple, validate_resonance on Subspace parts, contraction limits
+on a dense tensor of reduced Laurent fractions, and the Killing form from
+dense ad matrices.  The kernels must agree with them exactly.
 """
 
 import math
@@ -22,13 +23,15 @@ import pytest
 from liex import linalg, search
 from liex.errors import InputFormatError, LiexError, RationalFormError
 from liex.cli import ALL3_LABELS
+from liex.contraction import (Divergent, LaurentBasisFamily, LaurentPoly,
+                              _det_minor, limit, transform_parametric)
 from liex.expansion import (ResonanceSpec, extract_subalgebra, s_expand,
                             validate_resonance, zero_reduce)
 from liex.identify import FRAME_SEARCH_LIMIT, _primitive_vectors, identify3
-from liex.liealg import (StructureTensor, Subspace, _numerators, bracket,
-                         change_basis, catalog, derived_subalgebra, full_space,
-                         killing_form, resolve_algebra, span_of_brackets,
-                         validate_lie)
+from liex.liealg import (StructureTensor, Subspace, _numerators, ad_matrix,
+                         bracket, change_basis, catalog, derived_subalgebra,
+                         full_space, killing_form, resolve_algebra,
+                         span_of_brackets, validate_lie)
 from liex.search import scan_3dim_subalgebras, semigroup_inventory
 from liex.semigroup import S3, TRIVIAL, zero_element
 from support import rand_invertible
@@ -456,3 +459,210 @@ def test_validate_resonance_matches_subspace_path():
     parts = subspace_parts(3, blocks)
     assert reference_validate_resonance(TRIVIAL, c, spec, parts)["direct_sum"]
     assert not validate_resonance(TRIVIAL, c, spec)["direct_sum"]
+
+
+# --- contraction limits against the Laurent-fraction path ------------------
+
+def shift(a, k):
+    return LaurentPoly({e + k: q for e, q in a.terms.items()})
+
+
+def reference_divmod_poly(a, b):
+    """Long division of ordinary (valuation >= 0) polynomials."""
+    assert b
+    q = {}
+    r = dict(a.terms)
+    db = max(b.terms)
+    lead = b.coeff(db)
+    while r:
+        dr = max(r)
+        if dr < db:
+            break
+        f = r[dr] / lead
+        q[dr - db] = f
+        for e, c in b.terms.items():
+            ne = e + dr - db
+            nv = r.get(ne, F(0)) - f * c
+            if nv:
+                r[ne] = nv
+            else:
+                r.pop(ne, None)
+    return LaurentPoly(q), LaurentPoly(r)
+
+
+def reference_gcd_poly(a, b):
+    while b:
+        _, rem = reference_divmod_poly(a, b)
+        a, b = b, rem
+    if a:
+        a = a * (F(1) / a.coeff(max(a.terms)))
+    return a
+
+
+class ReferenceLaurentFrac:
+    """num/den with den normalized to valuation 0 and constant term 1."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if den is None:
+            den = LaurentPoly.const(1)
+        if not num:
+            self.num = LaurentPoly()
+            self.den = LaurentPoly.const(1)
+            return
+        vn, vd = num.valuation(), den.valuation()
+        n0, d0 = shift(num, -vn), shift(den, -vd)
+        q, r = reference_divmod_poly(n0, d0)
+        if not r:
+            self.num = shift(q, vn - vd)
+            self.den = LaurentPoly.const(1)
+            return
+        g = reference_gcd_poly(n0, d0)
+        n0, _ = reference_divmod_poly(n0, g)
+        d0, _ = reference_divmod_poly(d0, g)
+        c = d0.coeff(0)
+        self.num = shift(n0, vn - vd) * (F(1) / c)
+        self.den = d0 * (F(1) / c)
+
+    def valuation(self):
+        return self.num.valuation()
+
+    def value_at_zero(self):
+        v = self.valuation()
+        if v is None or v > 0:
+            return F(0)
+        assert v == 0, "divergent entry has no value at zero"
+        return self.num.coeff(0) / self.den.coeff(0)
+
+
+def reference_transform(c, fam):
+    """The dense n^3 tensor of reduced fractions, det and adj by cofactors."""
+    n = c.dim
+    full = tuple(range(n))
+    det = _det_minor(fam.entries, full, full, {})
+    if not det:
+        raise InputFormatError("family determinant is identically zero")
+    memo = {}
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            m = _det_minor(fam.entries, tuple(r for r in full if r != j),
+                           tuple(k for k in full if k != i), memo)
+            adj[i][j] = m if (i + j) % 2 == 0 else -m
+    rows = linalg.transpose(fam.entries)
+    back = linalg.transpose(adj)
+    zero = ReferenceLaurentFrac(LaurentPoly())
+    out = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = [LaurentPoly()] * n
+            for (p, q), row in c.rows.items():
+                f = rows[i][p] * rows[j][q] - rows[i][q] * rows[j][p]
+                if f:
+                    for r, x in row:
+                        v[r] += f * x
+            w = [sum((v[r] * back[r][k] for r in range(n) if v[r]), LaurentPoly())
+                 for k in range(n)]
+            out[i][j] = [ReferenceLaurentFrac(x, det) if x else zero for x in w]
+            out[j][i] = [ReferenceLaurentFrac(-x, det) if x else zero for x in w]
+    return out
+
+
+def reference_limit(entries):
+    """Scan every ordered (i, j, k) for a pole, else take constant terms."""
+    n = len(entries)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                v = entries[i][j][k].valuation()
+                if v is not None and v < 0:
+                    return Divergent(i + 1, j + 1, k + 1, v)
+    return StructureTensor(n, {(i, j): [(k, e.value_at_zero())
+                                        for k, e in enumerate(entries[i][j])]
+                               for i in range(n) for j in range(i + 1, n)})
+
+
+NONZERO_POOL = [q for q in FRACTION_POOL if q]
+
+
+def random_family(rng, n):
+    """Diagonal entries a eps^s + b eps^t with s != t, so the determinant is
+    seldom a monomial; a few monomials off the diagonal; and now and then a
+    row copied onto another, which makes the family singular."""
+    m = [[LaurentPoly() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        s, t = rng.sample(range(-1, 4), 2)
+        m[i][i] = LaurentPoly({s: rng.choice(NONZERO_POOL), t: rng.choice(NONZERO_POOL)})
+        for j in range(n):
+            if j != i and rng.random() < 1.5 / (n * n):
+                m[i][j] = LaurentPoly.monomial(rng.randrange(-1, 3), rng.choice(NONZERO_POOL))
+    if rng.random() < 0.2:
+        src, dst = rng.sample(range(n), 2)
+        m[dst] = list(m[src])
+    return LaurentBasisFamily(n, m)
+
+
+def test_contraction_limit_matches_laurent_fraction_path():
+    rng = random.Random(2401)
+    kinds = Counter()
+    for label in ALL3_LABELS + ("gF",):
+        c = resolve_algebra(label)
+        for _ in range(30 if c.dim == 3 else 12):
+            fam = random_family(rng, c.dim)
+            got = outcome(lambda: limit(transform_parametric(c, fam)))
+            ref = outcome(lambda: reference_limit(reference_transform(c, fam)))
+            assert got == ref, (label, fam.to_json())
+            kinds[type(got).__name__] += 1
+            if isinstance(got, tuple):
+                continue
+            # entry by entry: num/det has the reduced fraction's valuation,
+            # and where that is >= 0, its value at zero
+            pt = transform_parametric(c, fam)
+            dense = reference_transform(c, fam)
+            v0 = pt.det.valuation()
+            kinds["non-monomial det"] += len(pt.det.terms) > 1
+            kinds["v(det) != 0"] += v0 != 0
+            for i in range(c.dim):
+                for j in range(i + 1, c.dim):
+                    row = dict(pt.rows.get((i, j), ()))
+                    for k in range(c.dim):
+                        x = row.get(k, LaurentPoly())
+                        e = dense[i][j][k]
+                        v = x.valuation() - v0 if x else None
+                        assert e.valuation() == dense[j][i][k].valuation() == v
+                        if v is not None and v >= 0:
+                            assert e.value_at_zero() == x.coeff(v0) / pt.det.coeff(v0)
+    # limits, poles and singular families all occur, over determinants
+    # that are not monomials and that vanish at eps = 0
+    assert min(kinds["StructureTensor"], kinds["Divergent"], kinds["tuple"]) >= 40, kinds
+    assert kinds["non-monomial det"] > 100 and kinds["v(det) != 0"] > 100, kinds
+
+
+# --- the Killing form against the dense ad matrices -----------------------
+
+def reference_killing_form(c):
+    n = c.dim
+    ads = [ad_matrix(c, linalg.e_k(n, i)) for i in range(n)]
+    K = linalg.zeros(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            tr = sum(ads[i][p][q] * ads[j][q][p] for p in range(n) for q in range(n))
+            K[i][j] = K[j][i] = tr
+    return {"matrix": K, "rank": linalg.rank(K),
+            "signature": linalg.symmetric_signature(K)}
+
+
+def test_killing_form_matches_dense_ad_matrices():
+    rng = random.Random(2402)
+    signatures = set()
+    for label in ALL3_LABELS + ("gF", "gE"):
+        c = resolve_algebra(label)
+        inputs = [c] + [change_basis(c, rand_invertible(rng, c.dim))
+                        for _ in range(12 if c.dim == 3 else 4)]
+        for d in inputs:
+            got = killing_form(d)
+            assert got == reference_killing_form(d), (label, d)
+            signatures.add(got["signature"])
+    # definite, split, degenerate and zero forms are all among them
+    assert {(0, 3, 0), (2, 1, 0), (1, 0, 2), (0, 0, 3), (0, 0, 7)} <= signatures
