@@ -14,13 +14,22 @@ Two failure modes are genuine, not defensive:
   * the parameter is rational but no rational basis can reach the canonical
     form (anisotropic rational forms of the simple classes, and the
     trace-zero solvable cases whose discriminant is not a square).
+
+The simple classes get their frames from one square test on integer forms
+over one walk of primitive integer vectors by sup-norm shell: K(x, x)/2
+over FRAME_SEARCH_LIMIT shells for sl2R, and B(x, x) = -K(x, x)/2 in the
+coordinates of B's integer Gram reduction for so3, until
+DEFINITE_SEARCH_BUDGET primitive vectors have been visited.  Neither bound
+is a proof: a nonsplit sl2R form is refused after the 48,385 vectors of
+its shells, and an so3 form that represents no rational square after the
+2,001,313 of 84 shells, about 4 s.
 """
 
 import math
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import count, islice, product as iproduct
 
 from . import linalg
 from .errors import (InputFormatError, ParameterNotRationalError,
@@ -269,16 +278,32 @@ def _shell(dim, r, half):
             yield (x,) + t
 
 
-def _primitive_vectors(dim, limit):
-    """Primitive integer vectors (int tuples) by growing sup-norm shells.
+def _primitive_shells(dim):
+    """Primitive integer vectors (int tuples) of sup norm 1, 2, ..., one
+    list per shell: one representative per sign pair (first nonzero entry
+    positive), lexicographic within a shell.  Deterministic."""
+    for r in count(1):
+        yield [v for v in _shell(dim, r, True) if math.gcd(*v) == 1]
 
-    One representative per sign pair (first nonzero entry positive),
-    lexicographic within a shell.  Deterministic.
-    """
-    for r in range(1, limit + 1):
-        for v in _shell(dim, r, True):
-            if math.gcd(*v) == 1:
-                yield v
+
+def _primitive_vectors(dim, limit):
+    """The vectors of the first `limit` primitive shells, in order."""
+    for shell in islice(_primitive_shells(dim), limit):
+        yield from shell
+
+
+def _definite_walk():
+    """The primitive shells with each shell reversed and negated: first
+    nonzero entry negative, lexicographic within a shell.  A shell is
+    started only while fewer than DEFINITE_SEARCH_BUDGET vectors have been
+    visited, so the budget counts primitive vectors, checked per shell."""
+    seen = 0
+    for shell in _primitive_shells(3):
+        if seen >= DEFINITE_SEARCH_BUDGET:
+            return
+        seen += len(shell)
+        for v in reversed(shell):
+            yield tuple(-x for x in v)
 
 
 def _sqrt_minus_one(p):
@@ -348,39 +373,40 @@ def _two_squares(m):
     return abs(r), abs(s)
 
 
-def _reduce_gram(B):
-    """Unimodular integer rows T with T B T^t short (B positive definite).
+def _reduce_gram(M):
+    """(T, G): unimodular integer rows T and the short Gram matrix
+    G = T M T^t of a positive definite symmetric integer matrix M.
 
     Greedy pairwise reduction: repeatedly shorten row i by the nearest
-    integer multiple of row j; exact for dimension <= 3 up to reordering.
-    Enumerating small integer combinations of the reduced rows then reaches
-    the form's short vectors within a few shells, which keeps the frame
-    search bound independent of how skew the input basis is.
+    integer multiple of row j (round half to even, as round does on a
+    Fraction), with the same row and column operation on G; exact for
+    dimension <= 3 up to reordering.  Rows come out by increasing norm.
+    Each step compares a ratio and two norms, so M and any positive
+    multiple of it reduce alike.  Enumerating small integer combinations of
+    the reduced rows then reaches the form's short vectors within a few
+    shells, which keeps the frame search bound independent of how skew the
+    input basis is.
     """
-    n = len(B)
-    T = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def gram():
-        return linalg.mat_mul(linalg.mat_mul(T, B), linalg.transpose(T))
-
-    A = gram()
+    n = len(M)
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    G = [list(row) for row in M]
     changed = True
     while changed:
         changed = False
         for i in range(n):
             for j in range(n):
-                if i == j or not A[j][j]:
+                if i == j or not G[j][j]:
                     continue
-                t = round(A[i][j] / A[j][j])
-                if not t:
-                    continue
-                new_norm = A[i][i] - 2 * t * A[i][j] + t * t * A[j][j]
-                if new_norm < A[i][i]:
+                t = round(Fraction(G[i][j], G[j][j]))
+                if t and t * (t * G[j][j] - 2 * G[i][j]) < 0:
                     T[i] = [a - t * b for a, b in zip(T[i], T[j])]
-                    A = gram()
+                    for k in range(n):
+                        G[i][k] -= t * G[j][k]
+                    for k in range(n):
+                        G[k][i] -= t * G[k][j]
                     changed = True
-    order = sorted(range(n), key=lambda i: A[i][i])
-    return [T[i] for i in order]
+    order = sorted(range(n), key=lambda i: G[i][i])
+    return [T[i] for i in order], [[G[i][j] for j in order] for i in order]
 
 
 DEFINITE_SEARCH_BUDGET = 2_000_000
@@ -397,140 +423,109 @@ def _square_root(t):
     return s if s * s == t else None
 
 
-def _integer_form(A):
-    """(D, (a, b, c, d, e, f)) for a symmetric rational 3x3 matrix A:
-    D x^t A x = a x0^2 + b x1^2 + c x2^2 + d x0 x1 + e x0 x2 + f x1 x2,
-    all six integers."""
-    D, M = linalg.integer_rows(A)
-    return D, (M[0][0], M[1][1], M[2][2], 2 * M[0][1], 2 * M[0][2], 2 * M[1][2])
-
-
-def _square_norm_vector(B):
-    """(x, root) with B(x, x) = root^2 != 0, or None within the budget.
-
-    B positive definite rational.  Works in Gram-reduced integer
-    coordinates, sweeping primitive vectors by sup-norm shell; values are
-    integers there, so candidates fall to residue filters and one isqrt
-    each.  The budget bounds the sweep; misses on genuinely represented
-    squares are possible but need heights past every shell the budget
-    covers.
-    """
-    red = _reduce_gram(B)
-    D, (a, b, c, d, e, f) = _integer_form(
-        linalg.mat_mul(linalg.mat_mul(red, B), linalg.transpose(red)))
-    seen = 0
-    r = 0
-    while seen < DEFINITE_SEARCH_BUDGET:
-        r += 1
-        for x0 in range(-r, r + 1):
-            for x1 in range(-r, r + 1):
-                for x2 in range(-r, r + 1):
-                    if max(abs(x0), abs(x1), abs(x2)) != r:
-                        continue
-                    if (x0, x1, x2) > (-x0, -x1, -x2):
-                        continue
-                    if math.gcd(math.gcd(abs(x0), abs(x1)), abs(x2)) != 1:
-                        continue
-                    seen += 1
-                    m = (a * x0 * x0 + b * x1 * x1 + c * x2 * x2
-                         + d * x0 * x1 + e * x0 * x2 + f * x1 * x2)
-                    s = _square_root(m * D)
-                    if s is None:
-                        continue
-                    x = [x0 * red[0][i] + x1 * red[1][i] + x2 * red[2][i]
-                         for i in range(3)]
-                    return x, Fraction(s, D)
+def _first_square(M, factor, candidates):
+    """The first (x, s) over the integer 3-vectors x of `candidates` with
+    factor * x^t M x = s^2 != 0 (s > 0), or None; M symmetric integer."""
+    (a, d, e), (_, b, f), (_, _, c) = M
+    d, e, f = 2 * d, 2 * e, 2 * f
+    for x in candidates:
+        x0, x1, x2 = x
+        s = _square_root(factor * (a * x0 * x0 + b * x1 * x1 + c * x2 * x2
+                                   + d * x0 * x1 + e * x0 * x2 + f * x1 * x2))
+        if s is not None:
+            return x, s
     return None
+
+
+def _norm(B, x):
+    return sum(a * b for a, b in zip(x, linalg.mat_vec(B, x)))
 
 
 def _identify_simple(c):
     """sl2R or so3 by the Killing form's signature, with a rational frame.
 
-    The split sweep tests K(x, x)/2 on integers.  With K = M/D (M integer)
-    and q = x^t M x, K(x, x)/2 = q/(2D) is a nonzero rational square iff
-    the integer 2Dq is a nonzero square s^2, and then its root is s/(2D).
-    The sweep visits the same primitive vectors in the same order as a
-    Fraction test of each one would, so the first split vector, and with
-    it the witness, is the same; only the test of each vector is cheaper.
+    Both frames start from one square test on integers.  For a rational
+    symmetric form A = M/D (M integer, D the least common denominator) and
+    an integer vector x, A(x, x)/k = x^t M x/(kD) is a nonzero rational
+    square iff the integer kD x^t M x is a nonzero square s^2, with root
+    s/(kD).  The split case tests K(x, x)/2 (k = 2) over the primitive
+    vectors of FRAME_SEARCH_LIMIT shells.  The definite case tests
+    B = -K/2 (k = 1) in the coordinates of its integer Gram reduction, over
+    primitive vectors by shell with the first nonzero entry negative, until
+    DEFINITE_SEARCH_BUDGET of them have been visited at the start of a
+    shell.  The reduction runs on M = D B, and a positive scale changes no
+    reduction step, so the reduced frame is that of B itself.
     """
     kf = killing_form(c)
     K = kf["matrix"]
     sig = kf["signature"]
-
-    def kform(x, y):
-        return sum(x[i] * K[i][j] * y[j] for i in range(3) for j in range(3))
-
     if sig == (2, 1, 0):
         # split element: K(x,x)/2 a nonzero square; its ad has rational
         # eigenvalues -c, 0, c
-        D, (a, b, cc, d, e, f) = _integer_form(K)
-        for x0, x1, x2 in _primitive_vectors(3, FRAME_SEARCH_LIMIT):
-            s = _square_root(2 * D * (a * x0 * x0 + b * x1 * x1 + cc * x2 * x2
-                                      + d * x0 * x1 + e * x0 * x2 + f * x1 * x2))
-            if s is None:
-                continue
-            croot = Fraction(s, 2 * D)
-            h = [Fraction(v) / croot for v in (x0, x1, x2)]
-            adh = ad_matrix(c, h)
-            minus = linalg.nullspace([[adh[i][j] + (1 if i == j else 0)
-                                       for j in range(3)] for i in range(3)])
-            plus = linalg.nullspace([[adh[i][j] - (1 if i == j else 0)
-                                      for j in range(3)] for i in range(3)])
-            assert len(minus) == 1 and len(plus) == 1
-            vm, vp = minus[0], plus[0]
-            # [vm, vp] is a nonzero multiple of h (zero weight space)
-            w = bracket(c, vm, vp)
-            idx = next(t for t, v in enumerate(h) if v)
-            gamma = w[idx] / h[idx]
-            assert gamma != 0 and all(w[t] == gamma * h[t] for t in range(3))
-            e3 = [2 * v / gamma for v in vp]
-            return "sl2R", None, [vm, h, e3]
-        raise RationalFormError(
-            "no rational split frame found within the search bound; the "
-            "input is a nonsplit rational form (or needs a larger bound)",
-            witness={"bound": FRAME_SEARCH_LIMIT})
+        D, M = linalg.integer_rows(K)
+        found = _first_square(M, 2 * D,
+                              _primitive_vectors(3, FRAME_SEARCH_LIMIT))
+        if found is None:
+            raise RationalFormError(
+                "no rational split frame found within the search bound; the "
+                "input is a nonsplit rational form (or needs a larger bound)",
+                witness={"bound": FRAME_SEARCH_LIMIT})
+        x, s = found
+        croot = Fraction(s, 2 * D)
+        h = [Fraction(v) / croot for v in x]
+        adh = ad_matrix(c, h)
+        minus = linalg.nullspace([[adh[i][j] + (1 if i == j else 0)
+                                   for j in range(3)] for i in range(3)])
+        plus = linalg.nullspace([[adh[i][j] - (1 if i == j else 0)
+                                  for j in range(3)] for i in range(3)])
+        assert len(minus) == 1 and len(plus) == 1
+        vm, vp = minus[0], plus[0]
+        # [vm, vp] is a nonzero multiple of h (zero weight space)
+        w = bracket(c, vm, vp)
+        idx = next(t for t, v in enumerate(h) if v)
+        gamma = w[idx] / h[idx]
+        assert gamma != 0 and all(w[t] == gamma * h[t] for t in range(3))
+        e3 = [2 * v / gamma for v in vp]
+        return "sl2R", None, [vm, h, e3]
 
     assert sig == (0, 3, 0), "Killing signature %r impossible in dim 3" % (sig,)
-
-    def bform(x, y):
-        return -kform(x, y) / 2
-
-    Bmat = [[bform(linalg.e_k(3, i), linalg.e_k(3, j)) for j in range(3)]
-            for i in range(3)]
-    found = _square_norm_vector(Bmat)
-    if found is not None:
-        x, croot = found
-        e1 = [v / croot for v in x]
-        # Once a unit vector exists the rest is forced: for w in its
-        # complement, ad_{e1} preserves the form and squares to -1 there, so
-        # w and [e1, w] are an orthogonal pair of equal norm q, and
-        # alpha w + beta [e1, w] has norm (alpha^2 + beta^2) q.  A second
-        # unit vector exists iff q is a sum of two rational squares; when it
-        # is not, Witt cancellation rules out any rational orthonormal
-        # frame, so the refusal is a proof rather than a search timeout.
-        comp = linalg.nullspace([[bform(linalg.e_k(3, j), e1)
-                                  for j in range(3)]])
-        assert len(comp) == 2
-        w = comp[0]
-        q = bform(w, w)
-        assert q > 0
-        ts = _two_squares(q.numerator * q.denominator)
-        if ts is None:
-            raise RationalFormError(
-                "no rational orthonormal frame exists: a complement norm is "
-                "not a sum of two rational squares",
-                witness={"complement_norm": str(q)})
-        rho = Fraction(ts[0], q.denominator)
-        sig2 = Fraction(ts[1], q.denominator)
-        assert rho * rho + sig2 * sig2 == q
-        u = bracket(c, e1, w)
-        e2 = [(rho * a + sig2 * b) / q for a, b in zip(w, u)]
-        assert bform(e2, e2) == 1
-        e3 = bracket(c, e1, e2)
-        return "so3", None, [e1, e2, e3]
-    raise RationalFormError(
-        "no rational vector of square norm within the search budget",
-        witness={"budget": DEFINITE_SEARCH_BUDGET})
+    B = [[-k / 2 for k in row] for row in K]
+    D, M = linalg.integer_rows(B)
+    T, G = _reduce_gram(M)
+    found = _first_square(G, D, _definite_walk())
+    if found is None:
+        raise RationalFormError(
+            "no rational vector of square norm within the search budget",
+            witness={"budget": DEFINITE_SEARCH_BUDGET})
+    y, s = found
+    croot = Fraction(s, D)
+    e1 = [sum(y[k] * T[k][i] for k in range(3)) / croot for i in range(3)]
+    # Once a unit vector exists the rest is forced: for w in its
+    # complement, ad_{e1} preserves the form and squares to -1 there, so
+    # w and [e1, w] are an orthogonal pair of equal norm q, and
+    # alpha w + beta [e1, w] has norm (alpha^2 + beta^2) q.  A second
+    # unit vector exists iff q is a sum of two rational squares; when it
+    # is not, Witt cancellation rules out any rational orthonormal
+    # frame, so the refusal is a proof rather than a search timeout.
+    comp = linalg.nullspace([linalg.mat_vec(B, e1)])
+    assert len(comp) == 2
+    w = comp[0]
+    q = _norm(B, w)
+    assert q > 0
+    ts = _two_squares(q.numerator * q.denominator)
+    if ts is None:
+        raise RationalFormError(
+            "no rational orthonormal frame exists: a complement norm is "
+            "not a sum of two rational squares",
+            witness={"complement_norm": str(q)})
+    rho = Fraction(ts[0], q.denominator)
+    sig2 = Fraction(ts[1], q.denominator)
+    assert rho * rho + sig2 * sig2 == q
+    u = bracket(c, e1, w)
+    e2 = [(rho * a + sig2 * b) / q for a, b in zip(w, u)]
+    assert _norm(B, e2) == 1
+    e3 = bracket(c, e1, e2)
+    return "so3", None, [e1, e2, e3]
 
 
 def are_isomorphic(c1, c2):

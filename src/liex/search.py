@@ -35,8 +35,8 @@ from .expansion import (ResonanceSpec, _expand, extract_subalgebra,
 from .identify import identify3
 from .liealg import (StructureTensor, _numerators, catalog, change_basis,
                      parse_label, require_lie, resolve_algebra)
-from .semigroup import (S2, S3, SemigroupTable, enumerate_abelian_semigroups,
-                        semigroups_isomorphic, zero_element)
+from .semigroup import (BUILTIN_SEMIGROUPS, SemigroupTable, canonical_form,
+                        enumerate_abelian_semigroups, zero_element)
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,15 @@ def semigroup_inventory(max_order):
     coordinates.  max_order is also the enumeration bound, so callers cap
     the order themselves (the CLI through LIEX_MAX_ORDER).  Every table
     is validated here once, so searches expand it unchecked."""
+    # the enumerated classes are canonical forms, so s is isomorphic to a
+    # built-in b iff s == canonical_form(b)
+    builtin = {canonical_form(b): (b, name)
+               for name, b in BUILTIN_SEMIGROUPS.items()}
     out = []
     for order in range(1, max_order + 1):
         for s in enumerate_abelian_semigroups(order, up_to_isomorphism=True,
                                               max_order=max_order):
-            name = None
-            for bname, b in (("S2", S2), ("S3", S3)):
-                if b.order == order and semigroups_isomorphic(s, b) is not None:
-                    s, name = b, bname
-                    break
+            s, name = builtin.get(s, (s, None))
             out.append((require_semigroup(s), name))
     return tuple(out)
 

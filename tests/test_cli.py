@@ -18,7 +18,7 @@ import pytest
 from liex import cli
 from liex.contraction import U_FE
 from liex.expansion import s_expand, zero_reduce
-from liex.liealg import CATALOG_NAMES, StructureTensor, catalog
+from liex.liealg import CATALOG_NAMES, StructureTensor, catalog, change_basis
 from liex.semigroup import S2, S3
 
 
@@ -409,6 +409,43 @@ STDOUT_SHA256 = {
 def test_stdout_is_pinned(capsys, command):
     code, out = run(capsys, command.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_SHA256[command]
+
+
+def _so_q(q1, q2, q3):
+    # antisymmetric matrices for the form q1 x^2 + q2 y^2 + q3 z^2
+    return StructureTensor.from_brackets(
+        3, {(1, 2): {3: -q1}, (1, 3): {2: q2}, (2, 3): {1: -q3}})
+
+
+_SKEW = [[1, 2, 3], [0, 1, 4], [5, 6, 0]]
+
+# sha256 of `identify --algebra FILE` stdout, with the exit code, for simple
+# inputs: so3 and sl2R in a skew basis (the so3 one is Gram-reduced and
+# found past shell 1), a complement-norm refusal in a skew basis, and the
+# anisotropic and nonsplit refusals.  Taken from the Fraction Gram reduction
+# and cube-sweep square search that the integer walk replaced.
+IDENTIFY_SIMPLE_SHA256 = {
+    "so3.U": (lambda: change_basis(catalog("so3"), _SKEW),
+              0, "33084f909259e7150c2c6ddd87d31a83d5214645dacf55cb9a38f4f232a0d929"),
+    "sl2R.U": (lambda: change_basis(catalog("sl2R"), _SKEW),
+               0, "1268fd7cd66e44ed2c4f174cfe358d0dfe18aa902be2ae5d21e0f67379cb03c0"),
+    "so_q(2,1,7).U": (lambda: change_basis(_so_q(2, 1, 7), _SKEW),
+                      2, "7b557bf056d33c2a5ab1cff04c7befee164ae0fc7d828c673c8417eca2a0c259"),
+    "so_q(1,1,3)": (lambda: _so_q(1, 1, 3),
+                    2, "07847ff2f8f9c6bad58b309716023d8d1d2aeb0a53ff1e7511424492b4574513"),
+    "so_q(1,1,-3)": (lambda: _so_q(1, 1, -3),
+                     2, "361f0f2dccf1fc7bf5ff83079c850f6eca324562ebad162e6cef9d9180e6cff6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTIFY_SIMPLE_SHA256))
+def test_identify_simple_stdout_is_pinned(capsys, tmp_path, name):
+    make, want_code, want_digest = IDENTIFY_SIMPLE_SHA256[name]
+    path = tmp_path / "tensor.json"
+    with open(path, "w") as f:
+        json.dump(make().to_json(), f)
+    code, out = run(capsys, ["identify", "--algebra", str(path)])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)
 
 
 def test_refused_float_entry_is_echoed_as_text(capsys, tmp_path):

@@ -4,30 +4,34 @@ loops they replaced.
 Each reference below is the earlier implementation, kept here verbatim in
 substance: change_basis as a Fraction inverse and a Fraction bilinear loop,
 the split-frame sweep as an iproduct filter with a Fraction perfect-square
-test, coordinate extraction through the Subspace path, [g, g] as the span
-of all n^2 dense brackets, the span scan as extract_subalgebra on every
-closed triple, validate_resonance on Subspace parts, contraction limits
-on a dense tensor of reduced Laurent fractions, and the Killing form from
-dense ad matrices.  The kernels must agree with them exactly.
+test, the so3 frame from dense bilinear forms of B = -K/2 with a Fraction
+Gram reduction and a sup-norm cube sweep filtered point by point,
+coordinate extraction through the Subspace path, [g, g] as the span of all
+n^2 dense brackets, the span scan as extract_subalgebra on every closed
+triple, validate_resonance on Subspace parts, contraction limits on a
+dense tensor of reduced Laurent fractions, and the Killing form from dense
+ad matrices.  The kernels must agree with them exactly.
 """
 
 import math
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations, product as iproduct
+from itertools import combinations, islice, product as iproduct
 from math import gcd
 
 import pytest
 
-from liex import linalg, search
+from liex import identify, linalg, search
 from liex.errors import InputFormatError, LiexError, RationalFormError
 from liex.cli import ALL3_LABELS
 from liex.contraction import (Divergent, LaurentBasisFamily, LaurentPoly,
                               _det_minor, limit, transform_parametric)
 from liex.expansion import (ResonanceSpec, extract_subalgebra, s_expand,
                             validate_resonance, zero_reduce)
-from liex.identify import FRAME_SEARCH_LIMIT, _primitive_vectors, identify3
+from liex.identify import (DEFINITE_SEARCH_BUDGET, FRAME_SEARCH_LIMIT,
+                           _definite_walk, _primitive_vectors, _two_squares,
+                           identify3)
 from liex.liealg import (StructureTensor, Subspace, _numerators, ad_matrix,
                          bracket, change_basis, catalog, derived_subalgebra,
                          full_space, killing_form, resolve_algebra,
@@ -185,6 +189,162 @@ def test_split_sweep_matches_fraction_loop():
             assert r.label == "sl2R"
             assert list(r.witness[1]) == ref
     assert refused == 1
+
+
+def reference_reduce_gram(B):
+    """Greedy pairwise Gram reduction of a positive definite Fraction
+    matrix, recomputing T B T^t by Fraction products after every step."""
+    n = len(B)
+    T = [[F(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+    def gram():
+        return linalg.mat_mul(linalg.mat_mul(T, B), linalg.transpose(T))
+
+    A = gram()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i == j or not A[j][j]:
+                    continue
+                t = round(A[i][j] / A[j][j])
+                if not t:
+                    continue
+                new_norm = A[i][i] - 2 * t * A[i][j] + t * t * A[j][j]
+                if new_norm < A[i][i]:
+                    T[i] = [a - t * b for a, b in zip(T[i], T[j])]
+                    A = gram()
+                    changed = True
+    order = sorted(range(n), key=lambda i: A[i][i])
+    return [T[i] for i in order]
+
+
+def reference_integer_form(A):
+    D, M = linalg.integer_rows(A)
+    return D, (M[0][0], M[1][1], M[2][2], 2 * M[0][1], 2 * M[0][2], 2 * M[1][2])
+
+
+def reference_cube_shell(r):
+    """Sup-norm shell r of the (2r+1)^3 cube, three filters per point."""
+    for x0 in range(-r, r + 1):
+        for x1 in range(-r, r + 1):
+            for x2 in range(-r, r + 1):
+                if max(abs(x0), abs(x1), abs(x2)) != r:
+                    continue
+                if (x0, x1, x2) > (-x0, -x1, -x2):
+                    continue
+                if gcd(gcd(abs(x0), abs(x1)), abs(x2)) != 1:
+                    continue
+                yield x0, x1, x2
+
+
+def reference_square_norm_vector(B, budget):
+    """(x, root, visited) with B(x, x) = root^2 != 0, or None once a shell
+    would start with `budget` vectors visited."""
+    red = reference_reduce_gram(B)
+    D, (a, b, c, d, e, f) = reference_integer_form(
+        linalg.mat_mul(linalg.mat_mul(red, B), linalg.transpose(red)))
+    seen = 0
+    r = 0
+    while seen < budget:
+        r += 1
+        for x0, x1, x2 in reference_cube_shell(r):
+            seen += 1
+            m = D * (a * x0 * x0 + b * x1 * x1 + c * x2 * x2
+                     + d * x0 * x1 + e * x0 * x2 + f * x1 * x2)
+            s = math.isqrt(m) if m > 0 else 0
+            if not s or s * s != m:
+                continue
+            x = [x0 * red[0][i] + x1 * red[1][i] + x2 * red[2][i]
+                 for i in range(3)]
+            return x, F(s, D), seen
+    return None
+
+
+def reference_definite_frame(c, budget):
+    """(outcome, visited): the so3 frame from dense bilinear forms of
+    B = -K/2, or the refusal as (error name, witness)."""
+    K = killing_form(c)["matrix"]
+
+    def bform(x, y):
+        return -sum(x[i] * K[i][j] * y[j] for i in range(3) for j in range(3)) / 2
+
+    Bmat = [[bform(linalg.e_k(3, i), linalg.e_k(3, j)) for j in range(3)]
+            for i in range(3)]
+    found = reference_square_norm_vector(Bmat, budget)
+    if found is None:
+        return ("RationalFormError", {"budget": budget}), None
+    x, croot, seen = found
+    e1 = [v / croot for v in x]
+    comp = linalg.nullspace([[bform(linalg.e_k(3, j), e1) for j in range(3)]])
+    w = comp[0]
+    q = bform(w, w)
+    ts = _two_squares(q.numerator * q.denominator)
+    if ts is None:
+        return ("RationalFormError", {"complement_norm": str(q)}), seen
+    rho = F(ts[0], q.denominator)
+    sig2 = F(ts[1], q.denominator)
+    u = bracket(c, e1, w)
+    e2 = [(rho * a + sig2 * b) / q for a, b in zip(w, u)]
+    assert bform(e2, e2) == 1
+    return ("so3", [e1, e2, bracket(c, e1, e2)]), seen
+
+
+def definite_outcome(c):
+    try:
+        r = identify3(c)
+    except RationalFormError as e:
+        return type(e).__name__, e.witness
+    return r.label, [list(row) for row in r.witness]
+
+
+def test_definite_walk_is_the_cube_sweep():
+    n = sum(1 for r in range(1, 7) for _ in reference_cube_shell(r))
+    assert list(islice(_definite_walk(), n)) == [
+        x for r in range(1, 7) for x in reference_cube_shell(r)]
+
+
+def test_definite_frame_matches_fraction_reduction(monkeypatch):
+    # seeded so3 and so_q inputs under random basis changes, with one
+    # square among q1..q3 so that every form has a vector of square norm
+    # and no full-budget sweep (tens of seconds in the reference) is run;
+    # the complement-norm refusals are proofs and are compared too.  Each
+    # frame found after the first vector is compared again with the budget
+    # one short of it: the budget is checked at the start of a shell, so the
+    # frame is still found when its shell had started under the budget.
+    rng = random.Random(2501)
+    inputs = [change_basis(catalog("so3"), rand_invertible(rng)) for _ in range(8)]
+    for _ in range(24):
+        q = [rng.choice((1, 4)), rng.randint(1, 7), rng.randint(1, 7)]
+        rng.shuffle(q)
+        inputs.append(change_basis(so_q(*q), rand_invertible(rng)))
+    kinds = Counter()
+    for d in inputs:
+        ref, seen = reference_definite_frame(d, DEFINITE_SEARCH_BUDGET)
+        assert definite_outcome(d) == ref
+        kinds[ref[0], seen > 1] += 1
+        if seen > 1:
+            monkeypatch.setattr(identify, "DEFINITE_SEARCH_BUDGET", seen - 1)
+            assert definite_outcome(d) == reference_definite_frame(d, seen - 1)[0]
+            monkeypatch.undo()
+    assert kinds["so3", True] and kinds["RationalFormError", True]
+
+
+def test_definite_budget_refusal_matches_cube_sweep(monkeypatch):
+    # any positive q, with the budget cut to a few thousand vectors, so
+    # that forms representing no square are refused in milliseconds
+    budget = 3000
+    monkeypatch.setattr(identify, "DEFINITE_SEARCH_BUDGET", budget)
+    rng = random.Random(2502)
+    kinds = Counter()
+    for _ in range(30):
+        q = [rng.randint(1, 7) for _ in range(3)]
+        d = change_basis(so_q(*q), rand_invertible(rng))
+        ref, _ = reference_definite_frame(d, budget)
+        assert definite_outcome(d) == ref, q
+        kinds[ref[0] if ref[0] == "so3" else next(iter(ref[1]))] += 1
+    assert kinds["so3"] and kinds["budget"] and kinds["complement_norm"]
 
 
 def expansions():
