@@ -39,7 +39,9 @@ def require_semigroup(s):
 
 def _expand(s, c, elems):
     """S x g on the basis lambda_a e_i, a in elems, in flat order; brackets
-    whose semigroup product leaves elems are cut."""
+    whose semigroup product leaves elems are cut.  The result is not
+    re-checked: for Abelian S it satisfies Jacobi, whole or cut at 0_S
+    (Izaurieta, Rodriguez and Salgado, J. Math. Phys. 47 (2006) 123512)."""
     inside = set(elems)
     m = len(elems)
     pos = {a: t for t, a in enumerate(elems)}
@@ -53,9 +55,7 @@ def _expand(s, c, elems):
                 if g in inside:
                     rows[(i * m + pos[a], j * m + pos[b])] = [
                         (k * m + pos[g], v) for k, v in row]
-    t = StructureTensor(c.dim * m, rows)
-    assert validate_lie(t)["ok"]
-    return t
+    return StructureTensor(c.dim * m, rows)
 
 
 def s_expand(s, c):

@@ -30,8 +30,8 @@ from . import linalg
 from .errors import (InputFormatError, LiexError, ParameterNotRationalError,
                      RationalFormError)
 from .expansion import (ResonanceSpec, _expand, extract_subalgebra,
-                        require_semigroup, resonant_span, s_expand, split_index,
-                        validate_resonance, zero_reduce)
+                        resonant_span, s_expand, split_index, validate_resonance,
+                        zero_reduce)
 from .identify import identify3
 from .liealg import (StructureTensor, _numerators, catalog, change_basis,
                      parse_label, require_lie, resolve_algebra)
@@ -116,8 +116,9 @@ def semigroup_inventory(max_order):
     """One semigroup per isomorphism class up to max_order, with built-in
     relabelings substituted so witnesses come out in the familiar
     coordinates.  max_order is also the enumeration bound, so callers cap
-    the order themselves (the CLI through LIEX_MAX_ORDER).  Every table
-    is validated here once, so searches expand it unchecked."""
+    the order themselves (the CLI through LIEX_MAX_ORDER).  The
+    enumeration builds only commutative, associative tables, so searches
+    expand them unchecked."""
     # the enumerated classes are canonical forms, so s is isomorphic to a
     # built-in b iff s == canonical_form(b)
     builtin = {canonical_form(b): (b, name)
@@ -127,7 +128,7 @@ def semigroup_inventory(max_order):
         for s in enumerate_abelian_semigroups(order, up_to_isomorphism=True,
                                               max_order=max_order):
             s, name = builtin.get(s, (s, None))
-            out.append((require_semigroup(s), name))
+            out.append((s, name))
     return tuple(out)
 
 
@@ -310,7 +311,6 @@ def _search(source, max_order, modes, wants):
         ident = _identify_or_none(sub)
         if ident is not None and (ident.label, ident.param) in wants:
             meta = None if spec is None else spec.to_json()
-            assert spec is None or validate_resonance(s, source, spec)["ok"], meta
             witnesses.append(Witness(s, sname, mode, span, meta,
                                      ident.label, ident.param, ident.witness))
 
@@ -321,8 +321,9 @@ def _search(source, max_order, modes, wants):
             if dd in dds:
                 record(gt, s, sname, mode, gens, None)
 
-    # the source is checked once above and the inventory when it is built,
-    # so expansions skip s_expand's and zero_reduce's input checks
+    # the source is checked once above and the inventory holds semigroups
+    # by construction, so expansions skip s_expand's and zero_reduce's
+    # input checks
     for s, sname in semigroup_inventory(max_order):
         space["semigroups"] += 1
         elems = range(1, s.order + 1)

@@ -193,7 +193,9 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
     associativity only on the triples (a, b, c) that one of their four
     lookups ab, bc, (ab)c, a(bc) ties to the new cell: any other triple
     with all four lookups assigned was checked when its last cell was
-    filled.  The complete check still runs once per returned table.
+    filled, so every leaf is commutative and associative and is returned
+    unchecked (tests check every table of orders 1-5 with
+    validate_semigroup).
 
     With up_to_isomorphism, one representative per relabeling orbit, the
     canonical form, by lex-leader pruning (orderly generation; McKay,
@@ -317,7 +319,6 @@ def enumerate_abelian_semigroups(order, up_to_isomorphism=True,
 
     fill(0, live)
     for s in out:
-        assert validate_semigroup(s)["ok"]
         assert not up_to_isomorphism or canonical_form(s) == s
     return out
 

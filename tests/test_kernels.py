@@ -468,8 +468,8 @@ def fresh_numerators(c):
 
 def test_cached_numerators_are_never_modified():
     c = catalog("A3.4", a=F(1, 3))
-    expanded = s_expand(S3, c)       # runs validate_lie on the expansion
-    assert validate_lie(c)["ok"]
+    expanded = s_expand(S3, c)
+    assert validate_lie(c)["ok"] and validate_lie(expanded)["ok"]
     change_basis(c, [[1, 2, 0], [0, 1, F(1, 2)], [3, 0, 1]])
     scan_3dim_subalgebras(c)
     scan_3dim_subalgebras(expanded)

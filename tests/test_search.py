@@ -12,7 +12,7 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from liex import expansion, linalg, search
+from liex import expansion, linalg, search, semigroup
 from liex.errors import InputFormatError, NotALieAlgebraError
 from liex.expansion import (ResonanceSpec, extract_subalgebra, resonant_span,
                             s_expand, split_index, validate_resonance)
@@ -252,6 +252,12 @@ def test_resonant_witnesses_are_covering_subalgebra_witnesses():
         assert len(covering) == len(res), src
         assert [dataclasses.replace(w, mode="resonant", resonance=r.resonance)
                 for w, r in zip(covering, res)] == res, src
+        # the search records the coarsest decomposition unchecked; each one
+        # meets every resonance condition
+        for w in res:
+            spec = ResonanceSpec.from_json(w.resonance, source.dim,
+                                           w.semigroup.order)
+            assert validate_resonance(w.semigroup, source, spec)["ok"], src
         total += len(res)
     assert total == 1726
 
@@ -454,9 +460,8 @@ def test_one_expansion_per_source_and_semigroup(monkeypatch):
 
 
 def test_search_checks_its_inputs_once(monkeypatch):
-    semigroup_inventory(3)          # each table is validated as it is built
     checks = []
-    real_sg, real_lie = expansion.validate_semigroup, search.require_lie
+    real_sg, real_lie = semigroup.validate_semigroup, search.require_lie
 
     def counting_sg(s):
         checks.append("semigroup")
@@ -466,8 +471,13 @@ def test_search_checks_its_inputs_once(monkeypatch):
         checks.append("source")
         return real_lie(c)
 
-    monkeypatch.setattr(expansion, "validate_semigroup", counting_sg)
+    for module in (semigroup, expansion):
+        monkeypatch.setattr(module, "validate_semigroup", counting_sg)
     monkeypatch.setattr(search, "require_lie", counting_lie)
+    # the enumeration builds only semigroups, so neither building the
+    # inventory nor searching it validates a table
+    semigroup_inventory.cache_clear()
+    assert len(semigroup_inventory(3)) == 16 and checks == []
     res = find_connection(catalog("sl2R"), "A3.3", max_order=3,
                           modes=("subalgebra", "zero_reduce"))
     assert res.space["semigroups"] == 16 and checks == ["source"]

@@ -145,12 +145,15 @@ def test_order4_counts():
 
 
 def test_counts_match_oeis():
-    # classes: OEIS A001426; labelled tables: every relabeling counted
+    # classes: OEIS A001426; labelled tables: every relabeling counted.
+    # The enumeration returns its tables unchecked, so each is checked here.
     for order, classes, labelled in ((1, 1, 1), (2, 3, 6), (3, 12, 63),
                                      (4, 58, 1140), (5, 325, 30730)):
-        assert len(enumerate_abelian_semigroups(order, max_order=5)) == classes
-        assert len(enumerate_abelian_semigroups(
-            order, up_to_isomorphism=False, max_order=5)) == labelled
+        for up_to_isomorphism, count in ((True, classes), (False, labelled)):
+            tables = enumerate_abelian_semigroups(
+                order, up_to_isomorphism=up_to_isomorphism, max_order=5)
+            assert len(tables) == count
+            assert all(validate_semigroup(s)["ok"] for s in tables)
 
 
 def test_one_canonical_form_per_class(monkeypatch):
